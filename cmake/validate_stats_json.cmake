@@ -109,7 +109,7 @@ endif()
 # solve refactorizes at least once, and pricing did *something*.
 foreach(metric calls pivots refactorizations etas eta_entries
         pricing_candidate_hits pricing_full_scans warm_starts
-        dual_pivots bound_flips dual_solves)
+        dual_pivots bound_flips dual_solves factorize_ms pivot_row_entries)
   string(JSON value ERROR_VARIABLE json_err GET "${simplex}" "metrics" "${metric}")
   if(NOT json_err STREQUAL "NOTFOUND")
     message(FATAL_ERROR "simplex stats missing metric '${metric}'")
@@ -126,6 +126,17 @@ if(simplex_refactorizations LESS ${simplex_calls})
   message(FATAL_ERROR "simplex refactorizations (${simplex_refactorizations}) "
                       "< calls (${simplex_calls}); every solve factorizes once")
 endif()
+# Every factorization is timed, and every dual pivot builds a pivot row
+# from at least one matrix entry.
+if(NOT simplex_factorize_ms GREATER 0)
+  message(FATAL_ERROR "simplex 'factorize_ms' is ${simplex_factorize_ms}, "
+                      "want > 0 after ${simplex_refactorizations} "
+                      "factorizations")
+endif()
+if(simplex_pivot_row_entries LESS ${simplex_dual_pivots})
+  message(FATAL_ERROR "simplex pivot_row_entries (${simplex_pivot_row_entries}) "
+                      "< dual_pivots (${simplex_dual_pivots})")
+endif()
 math(EXPR pricing_total
      "${simplex_pricing_candidate_hits} + ${simplex_pricing_full_scans}")
 if(pricing_total LESS 1)
@@ -134,7 +145,9 @@ endif()
 
 message(STATUS "exact-engine stats OK: ${simplex_calls} simplex calls, "
                "${simplex_pivots} pivots, "
-               "${simplex_refactorizations} refactorizations")
+               "${simplex_refactorizations} refactorizations in "
+               "${simplex_factorize_ms} ms, "
+               "${simplex_pivot_row_entries} pivot-row entries")
 
 # The cut-and-branch pipeline must be visible in the same tree: a 'cuts'
 # child under branch_and_bound with the round/pool tallies, plus the

@@ -1,7 +1,9 @@
 #include "lp/basis.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 namespace etransform::lp {
@@ -26,9 +28,15 @@ constexpr double kDenseWindowDensity = 0.35;
 /// bookkeeping; the sparse loop finishes tiny blocks just fine.
 constexpr int kDenseWindowMinDim = 32;
 
-/// Re-estimate the active-submatrix density only every few steps; the count
-/// scan is O(active columns).
+/// Check the active-submatrix density only every few steps. The entry total
+/// is maintained incrementally, so a check is O(1); the stride stays because
+/// it fixes the steps at which the dense switch may fire, and the pivot
+/// sequence (hence every solve's path) depends on them.
 constexpr int kDensityCheckStride = 8;
+
+/// Markowitz candidates priced per elimination step: the active columns with
+/// the fewest entries (ties to the lowest basis position).
+constexpr int kCandidates = 8;
 
 /// One (index, value) entry of a sparse factor column/row.
 struct Entry {
@@ -42,7 +50,14 @@ struct Entry {
 class SparseLuBasis final : public BasisFactorization {
  public:
   SparseLuBasis(int rows, double pivot_tol)
-      : m_(rows), pivot_tol_(pivot_tol), work_vals_(static_cast<std::size_t>(rows), 0.0),
+      : m_(rows),
+        pivot_tol_(pivot_tol),
+        words_((rows + 63) / 64),
+        cols_(static_cast<std::size_t>(rows)),
+        row_pat_(static_cast<std::size_t>(rows)),
+        l_cols_(static_cast<std::size_t>(rows)),
+        u_rows_(static_cast<std::size_t>(rows)),
+        work_vals_(static_cast<std::size_t>(rows), 0.0),
         work_mark_(static_cast<std::size_t>(rows), -1) {}
 
   bool factorize(const std::vector<SparseColumn>& columns,
@@ -56,8 +71,14 @@ class SparseLuBasis final : public BasisFactorization {
       std::fill(work_mark_.begin(), work_mark_.end(), -1);
       stamp_ = 0;
     }
-    l_cols_.assign(static_cast<std::size_t>(m_), {});
-    u_rows_.assign(static_cast<std::size_t>(m_), {});
+    // Scratch and factor lists keep their capacity from the last call.
+    for (int k = 0; k < m_; ++k) {
+      cols_[static_cast<std::size_t>(k)].clear();
+      row_pat_[static_cast<std::size_t>(k)].clear();
+      l_cols_[static_cast<std::size_t>(k)].clear();
+      u_rows_[static_cast<std::size_t>(k)].clear();
+    }
+    clear_buckets();
     u_diag_.assign(static_cast<std::size_t>(m_), 0.0);
     row_of_step_.assign(static_cast<std::size_t>(m_), -1);
     pos_of_step_.assign(static_cast<std::size_t>(m_), -1);
@@ -68,25 +89,24 @@ class SparseLuBasis final : public BasisFactorization {
     }
 
     // Active submatrix: exact column-major values plus a lazy row pattern.
-    std::vector<std::vector<Entry>> cols(static_cast<std::size_t>(m_));
-    std::vector<std::vector<int>> row_pat(static_cast<std::size_t>(m_));
-    std::vector<int> row_count(static_cast<std::size_t>(m_), 0);
-    std::vector<bool> row_active(static_cast<std::size_t>(m_), true);
-    std::vector<bool> col_active(static_cast<std::size_t>(m_), true);
+    row_count_.assign(static_cast<std::size_t>(m_), 0);
+    row_active_.assign(static_cast<std::size_t>(m_), 1);
+    col_active_.assign(static_cast<std::size_t>(m_), 1);
+    long long active_entries = 0;
     for (int k = 0; k < m_; ++k) {
       const SparseColumn& col = columns[static_cast<std::size_t>(basis[static_cast<std::size_t>(k)])];
-      auto& dest = cols[static_cast<std::size_t>(k)];
+      auto& dest = cols_[static_cast<std::size_t>(k)];
       dest.reserve(col.rows.size());
       for (std::size_t e = 0; e < col.rows.size(); ++e) {
         if (col.coefs[e] == 0.0) continue;
         dest.push_back(Entry{col.rows[e], col.coefs[e]});
-        row_pat[static_cast<std::size_t>(col.rows[e])].push_back(k);
-        ++row_count[static_cast<std::size_t>(col.rows[e])];
+        row_pat_[static_cast<std::size_t>(col.rows[e])].push_back(k);
+        ++row_count_[static_cast<std::size_t>(col.rows[e])];
       }
+      bucket_insert(k, static_cast<int>(dest.size()));
+      active_entries += static_cast<long long>(dest.size());
     }
 
-    std::vector<Entry> mults;     // pivot-column multipliers of one step
-    std::vector<Entry> pivot_row; // pivot-row entries of one step
     // The stamp is monotonic across factorize() calls: work_mark_ persists,
     // so restarting it would collide with marks left by a previous
     // factorization and silently drop fill-in entries.
@@ -95,49 +115,24 @@ class SparseLuBasis final : public BasisFactorization {
     for (int step = 0; step < m_; ++step) {
       // --- Dense-window switch once the active block has densified. -------
       if (step % kDensityCheckStride == 0 && m_ - step >= kDenseWindowMinDim) {
-        long long active_entries = 0;
-        for (int j = 0; j < m_; ++j) {
-          if (col_active[static_cast<std::size_t>(j)]) {
-            active_entries +=
-                static_cast<long long>(cols[static_cast<std::size_t>(j)].size());
-          }
-        }
         const double active = m_ - step;
         if (static_cast<double>(active_entries) >=
             kDenseWindowDensity * active * active) {
-          if (!finish_dense_window(step, cols, col_active, row_active)) {
-            return false;
-          }
+          if (!finish_dense_window(step)) return false;
           break;
         }
       }
 
       // --- Markowitz pivot selection over the sparsest few columns. -------
-      // Scan active columns for the smallest counts (O(m) per step), then
-      // price only those candidates' entries.
-      constexpr int kCandidates = 8;
       int cand[kCandidates];
-      int cand_n = 0;
-      for (int j = 0; j < m_; ++j) {
-        if (!col_active[static_cast<std::size_t>(j)]) continue;
-        const int count = static_cast<int>(cols[static_cast<std::size_t>(j)].size());
-        int at = cand_n < kCandidates ? cand_n : kCandidates;
-        // Insertion sort by column count; keep the kCandidates sparsest.
-        if (cand_n < kCandidates) ++cand_n;
-        while (at > 0 &&
-               static_cast<int>(cols[static_cast<std::size_t>(cand[at - 1])].size()) > count) {
-          if (at < kCandidates) cand[at] = cand[at - 1];
-          --at;
-        }
-        if (at < kCandidates) cand[at] = j;
-      }
+      const int cand_n = sparsest_columns(cand);
       int best_row = -1;
       int best_col = -1;
       double best_val = 0.0;
       long long best_cost = std::numeric_limits<long long>::max();
       for (int c = 0; c < cand_n; ++c) {
         const int j = cand[c];
-        const auto& col = cols[static_cast<std::size_t>(j)];
+        const auto& col = cols_[static_cast<std::size_t>(j)];
         double col_max = 0.0;
         for (const Entry& e : col) col_max = std::max(col_max, std::abs(e.value));
         if (col_max < pivot_tol_) continue;
@@ -147,7 +142,7 @@ class SparseLuBasis final : public BasisFactorization {
           const double mag = std::abs(e.value);
           if (mag < eligible) continue;
           const long long cost =
-              cc * (static_cast<long long>(row_count[static_cast<std::size_t>(e.index)]) - 1);
+              cc * (static_cast<long long>(row_count_[static_cast<std::size_t>(e.index)]) - 1);
           if (cost < best_cost ||
               (cost == best_cost && mag > std::abs(best_val))) {
             best_cost = cost;
@@ -161,8 +156,8 @@ class SparseLuBasis final : public BasisFactorization {
         // The sparsest candidates were all below tolerance; fall back to a
         // full scan before declaring the basis singular.
         for (int j = 0; j < m_ && best_row < 0; ++j) {
-          if (!col_active[static_cast<std::size_t>(j)]) continue;
-          for (const Entry& e : cols[static_cast<std::size_t>(j)]) {
+          if (!col_active_[static_cast<std::size_t>(j)]) continue;
+          for (const Entry& e : cols_[static_cast<std::size_t>(j)]) {
             if (std::abs(e.value) < pivot_tol_) continue;
             if (best_row < 0 || std::abs(e.value) > std::abs(best_val)) {
               best_row = e.index;
@@ -179,41 +174,48 @@ class SparseLuBasis final : public BasisFactorization {
       u_diag_[static_cast<std::size_t>(step)] = best_val;
 
       // --- Extract multipliers from the pivot column. ---------------------
-      mults.clear();
-      for (const Entry& e : cols[static_cast<std::size_t>(best_col)]) {
+      auto& pivot_col = cols_[static_cast<std::size_t>(best_col)];
+      mults_.clear();
+      for (const Entry& e : pivot_col) {
         if (e.index == best_row) continue;
-        mults.push_back(Entry{e.index, e.value / best_val});
-        --row_count[static_cast<std::size_t>(e.index)];
+        mults_.push_back(Entry{e.index, e.value / best_val});
+        --row_count_[static_cast<std::size_t>(e.index)];
       }
-      cols[static_cast<std::size_t>(best_col)].clear();
-      cols[static_cast<std::size_t>(best_col)].shrink_to_fit();
-      col_active[static_cast<std::size_t>(best_col)] = false;
-      row_active[static_cast<std::size_t>(best_row)] = false;
+      bucket_erase(best_col, static_cast<int>(pivot_col.size()));
+      active_entries -= static_cast<long long>(pivot_col.size());
+      pivot_col.clear();
+      col_active_[static_cast<std::size_t>(best_col)] = 0;
+      row_active_[static_cast<std::size_t>(best_row)] = 0;
 
       // --- Extract the pivot row (becomes U row `step`). ------------------
-      pivot_row.clear();
-      for (const int j : row_pat[static_cast<std::size_t>(best_row)]) {
-        if (j == best_col || !col_active[static_cast<std::size_t>(j)]) continue;
-        auto& col = cols[static_cast<std::size_t>(j)];
+      // Every column losing its pivot-row entry leaves its count bucket
+      // here and re-enters at its post-update count below.
+      pivot_row_.clear();
+      for (const int j : row_pat_[static_cast<std::size_t>(best_row)]) {
+        if (j == best_col || !col_active_[static_cast<std::size_t>(j)]) continue;
+        auto& col = cols_[static_cast<std::size_t>(j)];
         for (std::size_t e = 0; e < col.size(); ++e) {
           if (col[e].index != best_row) continue;
-          pivot_row.push_back(Entry{j, col[e].value});
+          pivot_row_.push_back(Entry{j, col[e].value});
+          bucket_erase(j, static_cast<int>(col.size()));
           col[e] = col.back();
           col.pop_back();
+          --active_entries;
           break;
         }
       }
-      row_pat[static_cast<std::size_t>(best_row)].clear();
+      row_pat_[static_cast<std::size_t>(best_row)].clear();
 
       // --- Schur update: col_j -= l * u_kj for every multiplier. ----------
-      for (const Entry& u : pivot_row) {
-        auto& col = cols[static_cast<std::size_t>(u.index)];
+      for (const Entry& u : pivot_row_) {
+        auto& col = cols_[static_cast<std::size_t>(u.index)];
+        const std::size_t before = col.size();
         ++stamp;
         for (const Entry& e : col) {
           work_mark_[static_cast<std::size_t>(e.index)] = stamp;
           work_vals_[static_cast<std::size_t>(e.index)] = e.value;
         }
-        for (const Entry& l : mults) {
+        for (const Entry& l : mults_) {
           const std::size_t i = static_cast<std::size_t>(l.index);
           if (work_mark_[i] == stamp) {
             work_vals_[i] -= l.value * u.value;
@@ -221,8 +223,8 @@ class SparseLuBasis final : public BasisFactorization {
             work_mark_[i] = stamp;
             work_vals_[i] = -l.value * u.value;
             col.push_back(Entry{l.index, 0.0});  // fill-in; value set below
-            row_pat_push(row_pat, l.index, u.index);
-            ++row_count[i];
+            row_pat_[i].push_back(u.index);
+            ++row_count_[i];
           }
         }
         std::size_t keep = 0;
@@ -230,16 +232,19 @@ class SparseLuBasis final : public BasisFactorization {
           const std::size_t i = static_cast<std::size_t>(col[e].index);
           const double v = work_vals_[i];
           if (v == 0.0) {
-            --row_count[i];
+            --row_count_[i];
             continue;  // exact cancellation
           }
           col[keep++] = Entry{col[e].index, v};
         }
         col.resize(keep);
+        bucket_insert(u.index, static_cast<int>(keep));
+        active_entries += static_cast<long long>(keep) -
+                          static_cast<long long>(before);
       }
 
-      l_cols_[static_cast<std::size_t>(step)] = mults;  // row indices for now
-      u_rows_[static_cast<std::size_t>(step)] = pivot_row;  // positions for now
+      l_cols_[static_cast<std::size_t>(step)] = mults_;  // row indices for now
+      u_rows_[static_cast<std::size_t>(step)] = pivot_row_;  // positions for now
     }
 
     // Map factor indices into elimination-step coordinates while flattening
@@ -295,9 +300,7 @@ class SparseLuBasis final : public BasisFactorization {
   /// for steps `step..m_-1` in the same pre-remap convention as the sparse
   /// loop: L entries carry original row indices, U entries carry basis
   /// positions.
-  bool finish_dense_window(int step, std::vector<std::vector<Entry>>& cols,
-                           const std::vector<bool>& col_active,
-                           const std::vector<bool>& row_active) {
+  bool finish_dense_window(int step) {
     const int a = m_ - step;
     const auto az = static_cast<std::size_t>(a);
     std::vector<int> orig_row(az);   // local row -> original row (permuted)
@@ -305,7 +308,7 @@ class SparseLuBasis final : public BasisFactorization {
     std::vector<int> local_row(static_cast<std::size_t>(m_), -1);
     int r = 0;
     for (int i = 0; i < m_; ++i) {
-      if (!row_active[static_cast<std::size_t>(i)]) continue;
+      if (!row_active_[static_cast<std::size_t>(i)]) continue;
       local_row[static_cast<std::size_t>(i)] = r;
       orig_row[static_cast<std::size_t>(r++)] = i;
     }
@@ -313,10 +316,10 @@ class SparseLuBasis final : public BasisFactorization {
     dense_kernel_.assign(az * az, 0.0);
     int c = 0;
     for (int j = 0; j < m_; ++j) {
-      if (!col_active[static_cast<std::size_t>(j)]) continue;
+      if (!col_active_[static_cast<std::size_t>(j)]) continue;
       orig_col[static_cast<std::size_t>(c)] = j;
       double* dest = dense_kernel_.data() + static_cast<std::size_t>(c) * az;
-      for (const Entry& e : cols[static_cast<std::size_t>(j)]) {
+      for (const Entry& e : cols_[static_cast<std::size_t>(j)]) {
         dest[local_row[static_cast<std::size_t>(e.index)]] = e.value;
       }
       ++c;
@@ -493,15 +496,82 @@ class SparseLuBasis final : public BasisFactorization {
   }
 
  private:
-  static void row_pat_push(std::vector<std::vector<int>>& row_pat, int row,
-                           int col) {
-    row_pat[static_cast<std::size_t>(row)].push_back(col);
+  /// Files active column `j` under entry count `count`.
+  void bucket_insert(int j, int count) {
+    const auto c = static_cast<std::size_t>(count);
+    if (c >= buckets_.size()) {
+      buckets_.resize(c + 1);
+      bucket_size_.resize(c + 1, 0);
+    }
+    if (buckets_[c].empty()) buckets_[c].assign(static_cast<std::size_t>(words_), 0);
+    buckets_[c][static_cast<std::size_t>(j) / 64] |= std::uint64_t{1} << (j % 64);
+    ++bucket_size_[c];
+    min_bucket_ = std::min(min_bucket_, count);
+  }
+
+  /// Removes column `j`, currently filed under `count`.
+  void bucket_erase(int j, int count) {
+    const auto c = static_cast<std::size_t>(count);
+    buckets_[c][static_cast<std::size_t>(j) / 64] &= ~(std::uint64_t{1} << (j % 64));
+    --bucket_size_[c];
+  }
+
+  /// Empties every bucket a previous factorization left populated (an
+  /// early exit or the dense window leaves active columns behind).
+  void clear_buckets() {
+    for (std::size_t c = 0; c < buckets_.size(); ++c) {
+      if (bucket_size_[c] == 0) continue;
+      std::fill(buckets_[c].begin(), buckets_[c].end(), 0);
+      bucket_size_[c] = 0;
+    }
+    min_bucket_ = 0;
+  }
+
+  /// Writes the (up to kCandidates) active columns with the smallest
+  /// (entry count, basis position) into `cand`, in that order, count-0
+  /// columns included; returns how many. Walking the buckets upward and
+  /// each bitset in ascending word/bit order yields exactly that order.
+  int sparsest_columns(int* cand) {
+    int n = 0;
+    for (std::size_t c = static_cast<std::size_t>(min_bucket_);
+         c < buckets_.size() && n < kCandidates; ++c) {
+      int left = bucket_size_[c];
+      if (left == 0) {
+        if (n == 0) min_bucket_ = static_cast<int>(c) + 1;
+        continue;
+      }
+      const std::vector<std::uint64_t>& bits = buckets_[c];
+      for (int w = 0; w < words_ && left > 0 && n < kCandidates; ++w) {
+        for (std::uint64_t word = bits[static_cast<std::size_t>(w)];
+             word != 0 && n < kCandidates; word &= word - 1) {
+          cand[n++] = w * 64 + std::countr_zero(word);
+          --left;
+        }
+      }
+    }
+    return n;
   }
 
   int m_;
   double pivot_tol_;
-  // Factorization scratch: per-step factor entries in original coordinates,
-  // flattened below after the step->coordinate remap.
+  int words_;  // 64-bit words per bucket bitset
+  // Elimination scratch, kept across calls so a refactorization clears it
+  // instead of reallocating: the active submatrix by column (exact values)
+  // and by row (a lazy pattern that may hold stale column positions).
+  std::vector<std::vector<Entry>> cols_;
+  std::vector<std::vector<int>> row_pat_;
+  std::vector<int> row_count_;
+  std::vector<char> row_active_, col_active_;
+  std::vector<Entry> mults_;      // pivot-column multipliers of one step
+  std::vector<Entry> pivot_row_;  // pivot-row entries of one step
+  // Count buckets: buckets_[c] is a bitset over basis positions of the
+  // active columns with exactly c entries; bucket_size_[c] its population.
+  // Every bucket below min_bucket_ is empty.
+  std::vector<std::vector<std::uint64_t>> buckets_;
+  std::vector<int> bucket_size_;
+  int min_bucket_ = 0;
+  // Per-step factor entries in original coordinates, flattened below after
+  // the step->coordinate remap.
   std::vector<std::vector<Entry>> l_cols_;  // per step: (orig row, multiplier)
   std::vector<std::vector<Entry>> u_rows_;  // per step: (basis pos, value)
   // Flattened factors in elimination-step coordinates (the solve-side form).

@@ -14,7 +14,8 @@
 //    (Dantzig-style dual pricing); sigma = +1 when it sits above its upper
 //    bound (it will leave at upper), -1 below its lower bound.
 //  * Pivot row: rho = B^-T e_r (one btran), alpha_j = rho . A_j over the
-//    nonbasic columns.
+//    nonbasic columns, scattered row-wise from PreparedLp's row-major copy
+//    over the rows where rho is nonzero (rho is typically sparse).
 //  * BFRT: breakpoints (nonbasic j whose reduced cost d_j hits zero at dual
 //    step t_j = d_j / (sigma alpha_j)) are sorted by ratio; boxed
 //    breakpoints whose full-range flip still leaves the row infeasible are
@@ -30,7 +31,9 @@
 //    shifted_cost_/d_, so the primal phase-2 cleanup that certifies the
 //    final basis always prices against the true costs.
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "lp/simplex_core.h"
@@ -121,8 +124,46 @@ void RevisedSimplex::dual_perturb() {
   }
 }
 
+void RevisedSimplex::compute_pivot_row() {
+  if (alpha_.size() != static_cast<std::size_t>(n_)) {
+    alpha_.assign(static_cast<std::size_t>(n_), 0.0);
+    alpha_touched_.assign((static_cast<std::size_t>(n_) + 63) / 64, 0);
+  }
+  for (const int j : alpha_nz_) alpha_[static_cast<std::size_t>(j)] = 0.0;
+  alpha_nz_.clear();
+  // Row-wise scatter over the rows with rho_i != 0. Column entries are in
+  // ascending row order, so every alpha_j sums the same nonzero products in
+  // the same order as a column-wise dot product; the skipped terms are
+  // exact zeros.
+  for (int i = 0; i < m_; ++i) {
+    const double rho_i = rho_[static_cast<std::size_t>(i)];
+    if (rho_i == 0.0) continue;
+    const int end = prep_.row_start[static_cast<std::size_t>(i) + 1];
+    const int begin = prep_.row_start[static_cast<std::size_t>(i)];
+    pivot_row_entries_ += end - begin;
+    for (int e = begin; e < end; ++e) {
+      const auto ju = static_cast<std::size_t>(prep_.row_cols[static_cast<std::size_t>(e)]);
+      alpha_[ju] += rho_i * prep_.row_coefs[static_cast<std::size_t>(e)];
+      alpha_touched_[ju / 64] |= std::uint64_t{1} << (ju % 64);
+    }
+  }
+  // Collect in ascending column order (the breakpoint list and its sort's
+  // tie order depend on it), zeroing whatever is not kept.
+  for (std::size_t w = 0; w < alpha_touched_.size(); ++w) {
+    for (std::uint64_t word = alpha_touched_[w]; word != 0; word &= word - 1) {
+      const std::size_t ju = w * 64 + static_cast<std::size_t>(std::countr_zero(word));
+      if (status_[ju] == BasisVarStatus::kBasic ||
+          std::abs(alpha_[ju]) <= kAlphaZeroTol) {
+        alpha_[ju] = 0.0;
+        continue;
+      }
+      alpha_nz_.push_back(static_cast<int>(ju));
+    }
+    alpha_touched_[w] = 0;
+  }
+}
+
 SolveStatus RevisedSimplex::iterate_dual() {
-  dual_refresh();
   int degenerate_run = 0;
   int pivots_since_poll = options_.refactor_interval;  // poll on entry
   while (true) {
@@ -168,22 +209,7 @@ SolveStatus RevisedSimplex::iterate_dual() {
     rho_.assign(static_cast<std::size_t>(m_), 0.0);
     rho_[static_cast<std::size_t>(r)] = 1.0;
     engine_->btran(rho_);
-    if (alpha_.size() != static_cast<std::size_t>(n_)) {
-      alpha_.assign(static_cast<std::size_t>(n_), 0.0);
-    }
-    alpha_nz_.clear();
-    for (int j = 0; j < n_; ++j) {
-      const auto ju = static_cast<std::size_t>(j);
-      if (status_[ju] == BasisVarStatus::kBasic) continue;
-      const SparseColumn& col = prep_.columns[ju];
-      double a = 0.0;
-      for (std::size_t e = 0; e < col.rows.size(); ++e) {
-        a += rho_[static_cast<std::size_t>(col.rows[e])] * col.coefs[e];
-      }
-      if (std::abs(a) <= kAlphaZeroTol) continue;
-      alpha_[ju] = a;
-      alpha_nz_.push_back(j);
-    }
+    compute_pivot_row();
 
     // Ratio-test breakpoints: nonbasic columns whose reduced cost blocks
     // the dual step along +sigma * rho.

@@ -90,6 +90,8 @@ LpSolution LpEngine::solve(const PreparedLp& prep,
   stats.add("bound_flips", solution.bound_flips);
   stats.add("dual_solves", solution.used_dual ? 1.0 : 0.0);
   stats.add("refactorizations", solution.refactorizations);
+  stats.add("factorize_ms", core.factorize_ms());
+  stats.add("pivot_row_entries", static_cast<double>(core.pivot_row_entries()));
   stats.add("degenerate_pivots", solution.degenerate_pivots);
   stats.add("etas", static_cast<double>(bc.etas));
   stats.add("eta_entries", static_cast<double>(bc.eta_entries));

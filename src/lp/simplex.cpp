@@ -6,6 +6,7 @@
 
 #include "common/error.h"
 #include "common/logging.h"
+#include "common/stopwatch.h"
 #include "lp/simplex_core.h"
 #include "telemetry/trace.h"
 
@@ -127,6 +128,28 @@ PreparedLp::PreparedLp(const Model& m) : model(&m) {
     s.coefs.push_back(1.0);
     columns.push_back(std::move(s));
     cost.push_back(0.0);
+  }
+  // Row-major copy: visiting columns in ascending order keeps each row's
+  // entries sorted by column.
+  row_start.assign(static_cast<std::size_t>(num_rows()) + 1, 0);
+  for (const SparseColumn& col : columns) {
+    for (const int r : col.rows) ++row_start[static_cast<std::size_t>(r) + 1];
+  }
+  for (int r = 0; r < num_rows(); ++r) {
+    row_start[static_cast<std::size_t>(r) + 1] +=
+        row_start[static_cast<std::size_t>(r)];
+  }
+  row_cols.resize(static_cast<std::size_t>(row_start.back()));
+  row_coefs.resize(row_cols.size());
+  std::vector<int> next(row_start.begin(), row_start.end() - 1);
+  for (int j = 0; j < num_columns(); ++j) {
+    const SparseColumn& col = columns[static_cast<std::size_t>(j)];
+    for (std::size_t e = 0; e < col.rows.size(); ++e) {
+      const auto at =
+          static_cast<std::size_t>(next[static_cast<std::size_t>(col.rows[e])]++);
+      row_cols[at] = j;
+      row_coefs[at] = col.coefs[e];
+    }
   }
 }
 
@@ -376,7 +399,10 @@ void RevisedSimplex::recompute_values() {
 /// Factorizes the current basis and recomputes values. False on singular.
 bool RevisedSimplex::refactorize() {
   const telemetry::TraceSpan span(ctx_.trace(), "lp", "simplex.factorize");
-  if (!engine_->factorize(prep_.columns, basis_)) return false;
+  const Stopwatch clock;
+  const bool ok = engine_->factorize(prep_.columns, basis_);
+  factorize_ms_ += clock.elapsed_ms();
+  if (!ok) return false;
   pivots_since_refactor_ = 0;
   recompute_values();
   return true;

@@ -152,6 +152,12 @@ struct PreparedLp {
   int num_vars = 0;         // model variables == leading internal columns
   double sense_sign = 1.0;  // +1 minimize, -1 maximize
   std::vector<SparseColumn> columns;  // num_vars structural + one slack/row
+  /// Row-major copy of `columns`, slack columns included: row r's entries
+  /// are [row_start[r], row_start[r+1]) of row_cols/row_coefs, in ascending
+  /// column order. The dual pivot row scatters from it.
+  std::vector<int> row_start;
+  std::vector<int> row_cols;
+  std::vector<double> row_coefs;
   std::vector<double> cost;           // internal minimization cost per column
   std::vector<double> rhs;            // one per kept row
   std::vector<double> slack_lower;    // slack bounds per kept row

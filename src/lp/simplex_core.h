@@ -10,6 +10,7 @@
 // loop so optimality is certified by a single code path.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -55,6 +56,12 @@ class RevisedSimplex {
   [[nodiscard]] bool used_dual() const { return used_dual_; }
   [[nodiscard]] int dual_pivots() const { return dual_pivots_; }
   [[nodiscard]] int bound_flips() const { return bound_flips_; }
+  /// Wall time spent inside BasisFactorization::factorize, in ms.
+  [[nodiscard]] double factorize_ms() const { return factorize_ms_; }
+  /// Matrix entries scanned while building dual pivot rows.
+  [[nodiscard]] long long pivot_row_entries() const {
+    return pivot_row_entries_;
+  }
 
   [[nodiscard]] double column_value(int col) const {
     return value_[static_cast<std::size_t>(col)];
@@ -104,13 +111,18 @@ class RevisedSimplex {
   [[nodiscard]] bool dual_start_feasible();
   /// Refreshes y_ and d_ from the (possibly perturbed) costs via one btran.
   void dual_refresh();
+  /// alpha_j = rho_ . A_j for the nonbasic columns, scattered row-wise from
+  /// the rows where rho_ is nonzero; fills alpha_nz_ in ascending j.
+  void compute_pivot_row();
   /// Shifts every nonbasic reduced cost strictly inside its feasible
   /// half-space (deterministic spread) to break dual-degenerate ties.
   void dual_perturb();
-  /// Bound-flipping-ratio-test dual pivot loop. kOptimal means the basis is
-  /// primal feasible (dual-optimal); run() then certifies with the primal
-  /// phase-2 loop. Sets dual_abandoned_ when it retreats (singular-basis
-  /// recovery, unusable pivot) and the primal phases must repair instead.
+  /// Bound-flipping-ratio-test dual pivot loop, entered straight after a
+  /// passing dual_start_feasible() and starting from the y_/d_ it computed.
+  /// kOptimal means the basis is primal feasible (dual-optimal); run() then
+  /// certifies with the primal phase-2 loop. Sets dual_abandoned_ when it
+  /// retreats (singular-basis recovery, unusable pivot) and the primal
+  /// phases must repair instead.
   SolveStatus iterate_dual();
 
   const PreparedLp& prep_;
@@ -138,6 +150,7 @@ class RevisedSimplex {
   int recoveries_ = 0;
   long long candidate_hits_ = 0;
   long long full_scans_ = 0;
+  double factorize_ms_ = 0.0;
   // Scratch vectors reused across iterations.
   std::vector<double> y_, w_, rho_, work_;
 
@@ -149,8 +162,9 @@ class RevisedSimplex {
   };
   std::vector<double> shifted_cost_;  // prep_.cost + anti-cycling shifts
   std::vector<double> d_;             // reduced costs of nonbasic columns
-  std::vector<double> alpha_;         // dense pivot-row scratch
+  std::vector<double> alpha_;         // dense pivot row; 0 off alpha_nz_
   std::vector<int> alpha_nz_;         // nonbasic j with |alpha_[j]| > 0
+  std::vector<std::uint64_t> alpha_touched_;  // columns the scatter hit
   std::vector<DualBreakpoint> bps_;   // ratio-test breakpoints
   std::vector<int> flips_;            // bound flips of the current pivot
   double dtol_ = 1e-7;                // dual feasibility tolerance (scaled)
@@ -159,6 +173,7 @@ class RevisedSimplex {
   bool dual_abandoned_ = false;
   int dual_pivots_ = 0;
   int bound_flips_ = 0;
+  long long pivot_row_entries_ = 0;
 };
 
 }  // namespace etransform::lp::detail

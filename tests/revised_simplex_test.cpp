@@ -1,10 +1,13 @@
 // Tests for the sparse revised simplex core: sparse-vs-dense differential
 // agreement, cycling/degeneracy under partial pricing, warm-start
-// regressions, numerical-error reporting, and the basis-engine contract
-// across repeated refactorizations.
+// regressions, numerical-error reporting, the basis-engine contract
+// across repeated refactorizations, sparse-LU properties over random bases,
+// and PreparedLp's row-major copy.
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -237,15 +240,216 @@ TEST(RevisedSimplex, RefactorizeTwiceMatchesFreshEngine) {
     std::vector<double> btran_fresh = x;
     engine->btran(btran_reused);
     fresh->btran(btran_fresh);
+    // Same basis, same pivot order: the factors, and so every solve, must
+    // be bit-identical whatever scratch the engine kept.
     for (int i = 0; i < m; ++i) {
-      EXPECT_NEAR(ftran_reused[static_cast<std::size_t>(i)],
-                  ftran_fresh[static_cast<std::size_t>(i)], 1e-8)
+      EXPECT_EQ(ftran_reused[static_cast<std::size_t>(i)],
+                ftran_fresh[static_cast<std::size_t>(i)])
           << "ftran trial " << trial << " row " << i;
-      EXPECT_NEAR(btran_reused[static_cast<std::size_t>(i)],
-                  btran_fresh[static_cast<std::size_t>(i)], 1e-8)
+      EXPECT_EQ(btran_reused[static_cast<std::size_t>(i)],
+                btran_fresh[static_cast<std::size_t>(i)])
           << "btran trial " << trial << " row " << i;
     }
   }
+}
+
+// Random column pool for the factorization property test: `slacks` unit
+// columns (e_i for i < slacks) followed by `structurals` columns with
+// entry density `density` and a dominant diagonal entry in row j % m, which
+// keeps bases drawn from it well conditioned.
+std::vector<SparseColumn> random_column_pool(Rng& rng, int m, int slacks,
+                                             int structurals, double density) {
+  std::vector<SparseColumn> pool;
+  for (int i = 0; i < slacks; ++i) {
+    SparseColumn col;
+    col.rows.push_back(i);
+    col.coefs.push_back(1.0);
+    pool.push_back(std::move(col));
+  }
+  for (int j = 0; j < structurals; ++j) {
+    SparseColumn col;
+    const int diag = j % m;
+    for (int i = 0; i < m; ++i) {
+      if (i == diag) {
+        col.rows.push_back(i);
+        col.coefs.push_back(static_cast<double>(m) * (1.0 + rng.uniform()));
+      } else if (rng.uniform() < density) {
+        col.rows.push_back(i);
+        col.coefs.push_back(rng.uniform(-2.0, 2.0));
+      }
+    }
+    pool.push_back(std::move(col));
+  }
+  return pool;
+}
+
+// Checks max_i |(B z - x)_i| for z = B^-1 x and max_k |(B^T y - x)_k| for
+// y = B^-T x against 1e-9, over one random probe x.
+void expect_small_residuals(const BasisFactorization& engine,
+                            const std::vector<SparseColumn>& pool,
+                            const std::vector<int>& basis, Rng& rng,
+                            const std::string& label) {
+  const int m = static_cast<int>(basis.size());
+  std::vector<double> x(static_cast<std::size_t>(m));
+  for (double& v : x) v = rng.uniform(-1.0, 1.0);
+
+  std::vector<double> z = x;
+  engine.ftran(z);
+  std::vector<double> bz(static_cast<std::size_t>(m), 0.0);
+  for (int k = 0; k < m; ++k) {
+    const SparseColumn& col =
+        pool[static_cast<std::size_t>(basis[static_cast<std::size_t>(k)])];
+    for (std::size_t e = 0; e < col.rows.size(); ++e) {
+      bz[static_cast<std::size_t>(col.rows[e])] +=
+          col.coefs[e] * z[static_cast<std::size_t>(k)];
+    }
+  }
+  std::vector<double> y = x;
+  engine.btran(y);
+  double ftran_residual = 0.0;
+  double btran_residual = 0.0;
+  for (int k = 0; k < m; ++k) {
+    ftran_residual = std::max(
+        ftran_residual, std::abs(bz[static_cast<std::size_t>(k)] -
+                                 x[static_cast<std::size_t>(k)]));
+    const SparseColumn& col =
+        pool[static_cast<std::size_t>(basis[static_cast<std::size_t>(k)])];
+    const double bty = TableauRowExtractor::row_coefficient(y, col);
+    btran_residual = std::max(
+        btran_residual, std::abs(bty - x[static_cast<std::size_t>(k)]));
+  }
+  EXPECT_LE(ftran_residual, 1e-9) << label;
+  EXPECT_LE(btran_residual, 1e-9) << label;
+}
+
+// Property test of the sparse LU over random bases: slack-heavy bases
+// (mostly count-1 columns), bases dense enough to take the dense-window
+// path from the first step (m >= 32, density >= 0.35), and singular ones.
+// One engine refactorizes every basis in turn and must match a fresh
+// engine bit for bit, with FTRAN/BTRAN residuals within 1e-9.
+TEST(RevisedSimplex, SparseLuPropertiesOverRandomBases) {
+  const struct {
+    int m;
+    int slacks;
+    double density;
+  } shapes[] = {
+      {24, 24, 0.15},  // slack-heavy, pure Markowitz
+      {40, 40, 0.08},  // slack-heavy, large enough for the density check
+      {48, 0, 0.05},   // sparse structurals only
+      {40, 8, 0.5},    // starts dense: dense window at step 0
+      {64, 16, 0.5},
+  };
+  Rng rng(2012);
+  for (const auto& shape : shapes) {
+    const int m = shape.m;
+    const std::vector<SparseColumn> pool =
+        random_column_pool(rng, m, shape.slacks, 2 * m, shape.density);
+    const auto reused = make_basis_factorization(m, /*dense=*/false, 1e-9);
+    for (int trial = 0; trial < 6; ++trial) {
+      // Basis: structural column k or k + m at position k, except that a
+      // slack-heavy shape puts its unit column in about 3 of 4 positions.
+      std::vector<int> basis(static_cast<std::size_t>(m));
+      for (int k = 0; k < m; ++k) {
+        const bool slack = k < shape.slacks && rng.uniform() < 0.75;
+        const int structural =
+            shape.slacks + k + (rng.uniform() < 0.5 ? 0 : m);
+        basis[static_cast<std::size_t>(k)] = slack ? k : structural;
+      }
+      const std::string label = "m=" + std::to_string(m) + " slacks=" +
+                                std::to_string(shape.slacks) + " trial " +
+                                std::to_string(trial);
+      ASSERT_TRUE(reused->factorize(pool, basis)) << label;
+      const auto fresh = make_basis_factorization(m, /*dense=*/false, 1e-9);
+      ASSERT_TRUE(fresh->factorize(pool, basis)) << label;
+      EXPECT_EQ(reused->counters().factor_entries,
+                fresh->counters().factor_entries)
+          << label;
+      std::vector<double> x(static_cast<std::size_t>(m));
+      for (double& v : x) v = rng.uniform(-1.0, 1.0);
+      std::vector<double> a = x;
+      std::vector<double> b = x;
+      reused->ftran(a);
+      fresh->ftran(b);
+      EXPECT_EQ(a, b) << label << " ftran";
+      a = x;
+      b = x;
+      reused->btran(a);
+      fresh->btran(b);
+      EXPECT_EQ(a, b) << label << " btran";
+      expect_small_residuals(*reused, pool, basis, rng, label);
+
+      // Singular variants of the same basis, through the same engine: an
+      // empty (count-0) column, and a repeated column.
+      std::vector<SparseColumn> with_empty = pool;
+      with_empty.push_back(SparseColumn{});
+      std::vector<int> singular = basis;
+      singular[static_cast<std::size_t>(trial % m)] =
+          static_cast<int>(with_empty.size()) - 1;
+      EXPECT_FALSE(reused->factorize(with_empty, singular)) << label;
+      singular = basis;
+      singular[static_cast<std::size_t>((trial + 1) % m)] =
+          singular[static_cast<std::size_t>(trial % m)];
+      EXPECT_FALSE(reused->factorize(pool, singular)) << label;
+    }
+  }
+}
+
+// PreparedLp's row-major copy is the exact transpose of `columns`, slack
+// columns included, over the kept rows only (dropped rows leave no row).
+TEST(RevisedSimplex, PreparedLpRowMajorCopyIsExactTranspose) {
+  Model model;
+  const int x = model.add_continuous("x", 0.0, 4.0);
+  const int y = model.add_continuous("y", -1.0, 1.0);
+  const int z = model.add_continuous("z", 0.0, kInfinity);
+  model.set_objective(Sense::kMinimize, {{x, 1.0}, {y, -2.0}, {z, 0.5}});
+  model.add_constraint("a", {{x, 1.0}, {z, -3.0}}, Relation::kLessEqual, 5.0);
+  model.add_constraint("vacuous", {{x, 1.0}, {y, 1.0}}, Relation::kLessEqual,
+                       kInfinity);
+  model.add_constraint("b", {{y, 2.0}, {x, 0.25}}, Relation::kGreaterEqual,
+                       -1.0);
+  model.add_constraint("empty", {{z, 0.0}}, Relation::kLessEqual, 1.0);
+  model.add_constraint("c", {{z, 7.0}, {y, -1.5}, {x, 1.0}}, Relation::kEqual,
+                       2.0);
+  const PreparedLp prep(model);
+  ASSERT_EQ(prep.num_rows(), 3);
+  EXPECT_EQ(prep.row_of_model_row, (std::vector<int>{0, -1, 1, -1, 2}));
+  ASSERT_EQ(prep.row_start.size(), static_cast<std::size_t>(prep.num_rows()) + 1);
+  EXPECT_EQ(prep.row_start.front(), 0);
+
+  // Rebuild the transpose from the columns and compare entry for entry.
+  std::vector<std::vector<std::pair<int, double>>> rows(
+      static_cast<std::size_t>(prep.num_rows()));
+  for (int j = 0; j < prep.num_columns(); ++j) {
+    const SparseColumn& col = prep.columns[static_cast<std::size_t>(j)];
+    for (std::size_t e = 0; e < col.rows.size(); ++e) {
+      rows[static_cast<std::size_t>(col.rows[e])].emplace_back(j, col.coefs[e]);
+    }
+  }
+  std::size_t total = 0;
+  for (int r = 0; r < prep.num_rows(); ++r) {
+    const auto& want = rows[static_cast<std::size_t>(r)];
+    const int begin = prep.row_start[static_cast<std::size_t>(r)];
+    const int end = prep.row_start[static_cast<std::size_t>(r) + 1];
+    ASSERT_EQ(static_cast<std::size_t>(end - begin), want.size()) << "row " << r;
+    for (int e = begin; e < end; ++e) {
+      const auto& [col, coef] = want[static_cast<std::size_t>(e - begin)];
+      EXPECT_EQ(prep.row_cols[static_cast<std::size_t>(e)], col) << "row " << r;
+      EXPECT_EQ(prep.row_coefs[static_cast<std::size_t>(e)], coef) << "row " << r;
+    }
+    // Each kept row ends with its own +1 slack column.
+    EXPECT_EQ(prep.row_cols[static_cast<std::size_t>(end) - 1],
+              prep.num_vars + r);
+    EXPECT_EQ(prep.row_coefs[static_cast<std::size_t>(end) - 1], 1.0);
+    total += want.size();
+  }
+  EXPECT_EQ(prep.row_cols.size(), total);
+  EXPECT_EQ(prep.row_coefs.size(), total);
+  // Row "c" lists x, y, z in ascending column order whatever the model's
+  // term order was.
+  const int c_begin = prep.row_start[2];
+  EXPECT_EQ(prep.row_cols[static_cast<std::size_t>(c_begin)], x);
+  EXPECT_EQ(prep.row_cols[static_cast<std::size_t>(c_begin) + 1], y);
+  EXPECT_EQ(prep.row_cols[static_cast<std::size_t>(c_begin) + 2], z);
 }
 
 // B&B node warm-starting must reduce the total simplex work on a
