@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -17,18 +16,6 @@ namespace etransform::lp {
 namespace {
 
 // ---------------------------------------------------------------- writer --
-
-std::string format_coef(double value) {
-  char raw[64];
-  // %.17g preserves doubles exactly; trim the noise for common round values.
-  std::snprintf(raw, sizeof(raw), "%.17g", value);
-  double reparsed = 0.0;
-  std::snprintf(raw, sizeof(raw), "%.12g", value);
-  std::sscanf(raw, "%lf", &reparsed);
-  if (reparsed == value) return raw;
-  std::snprintf(raw, sizeof(raw), "%.17g", value);
-  return raw;
-}
 
 bool valid_name_char(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_' ||
@@ -81,14 +68,14 @@ void write_expression(std::ostream& out, const std::vector<Term>& terms,
     } else {
       out << (t.coef < 0 ? " - " : " + ");
     }
-    if (magnitude != 1.0) out << format_coef(magnitude) << ' ';
+    if (magnitude != 1.0) out << format_round_trip(magnitude) << ' ';
     out << names[static_cast<std::size_t>(t.var)];
     if (++on_line % 8 == 0) out << "\n    ";
   }
   if (constant != 0.0 || first) {
     if (!first) out << (constant < 0 ? " - " : " + ");
     else if (constant < 0) out << "- ";
-    out << format_coef(std::abs(constant));
+    out << format_round_trip(std::abs(constant));
   }
 }
 
@@ -439,7 +426,7 @@ void write_lp(const Model& model, std::ostream& out) {
       case Relation::kGreaterEqual: out << " >= "; break;
       case Relation::kEqual: out << " = "; break;
     }
-    out << format_coef(row.rhs) << "\n";
+    out << format_round_trip(row.rhs) << "\n";
   }
   out << "Bounds\n";
   for (int j = 0; j < model.num_variables(); ++j) {
@@ -449,14 +436,14 @@ void write_lp(const Model& model, std::ostream& out) {
     if (v.lower == -kInfinity && v.upper == kInfinity) {
       out << ' ' << name << " free\n";
     } else if (v.lower == v.upper) {
-      out << ' ' << name << " = " << format_coef(v.lower) << "\n";
+      out << ' ' << name << " = " << format_round_trip(v.lower) << "\n";
     } else {
       out << ' ';
       if (v.lower == -kInfinity) out << "-inf";
-      else out << format_coef(v.lower);
+      else out << format_round_trip(v.lower);
       out << " <= " << name << " <= ";
       if (v.upper == kInfinity) out << "inf";
-      else out << format_coef(v.upper);
+      else out << format_round_trip(v.upper);
       out << "\n";
     }
   }
@@ -678,11 +665,12 @@ Model parse_lp(const std::string& text) {
 std::string write_solution(const Model& model, const LpSolution& solution) {
   std::ostringstream out;
   out << "status " << to_string(solution.status) << "\n";
-  out << "objective " << format_coef(solution.objective) << "\n";
+  out << "objective " << format_round_trip(solution.objective) << "\n";
   if (solution.status == SolveStatus::kOptimal) {
     for (int j = 0; j < model.num_variables(); ++j) {
       out << model.variable(j).name << ' '
-          << format_coef(solution.values[static_cast<std::size_t>(j)]) << "\n";
+          << format_round_trip(solution.values[static_cast<std::size_t>(j)])
+          << "\n";
     }
   }
   return out.str();

@@ -68,19 +68,6 @@
 
 namespace etransform::milp {
 
-/// REMOVED: the legacy flat `MilpOptions{...}` tuning struct (deprecated in
-/// the PR that introduced SolverOptions) is gone. Construct
-/// milp::SolverOptions (milp/solver_options.h) instead: the old flat fields
-/// now live under `.search` (max_nodes, time_limit_ms, relative_gap,
-/// integrality_tol, root_dive, warm_start_nodes) and `lp_options` is `.lp`.
-/// Any use of the name fails to compile against this poisoned declaration.
-struct [[deprecated(
-    "MilpOptions was removed; construct milp::SolverOptions "
-    "(milp/solver_options.h): flat search knobs moved under .search, "
-    "lp_options is now .lp")]] MilpOptions {
-  MilpOptions() = delete;
-};
-
 /// Result status of a MILP solve.
 enum class MilpStatus {
   kOptimal,          // incumbent proven optimal within relative_gap

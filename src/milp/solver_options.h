@@ -13,8 +13,8 @@
 //     .lp         the simplex engine (lp::SimplexOptions, unchanged)
 //     .presolve   presolve toggles (consumed by the planner pipeline)
 //
-// The legacy flat MilpOptions is gone — branch_and_bound.h keeps only a
-// poisoned declaration so stale code fails to compile with a pointer here.
+// The legacy flat MilpOptions is gone: its search fields live under
+// `.search` and its `lp_options` is `.lp`.
 #pragma once
 
 #include "lp/simplex.h"

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "common/error.h"
+#include "common/strings.h"
 
 namespace etransform {
 
@@ -125,23 +125,21 @@ void validate_horizon(const ConsolidationInstance& base,
 
 std::string horizon_fingerprint(const PlanningHorizon& horizon) {
   if (horizon.is_static()) return std::string();
-  const auto num = [](double v) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.12g", v);
-    return std::string(buf);
-  };
-  std::string out = "T=" + std::to_string(horizon.periods.size()) +
-                    ";mig=" + num(horizon.migration_cost_per_server);
+  // Exact spellings: periods that differ in any bit must not share a key.
+  std::string out = "T=" + std::to_string(horizon.periods.size()) + ";mig=";
+  append_round_trip(out, horizon.migration_cost_per_server);
   for (std::size_t t = 0; t < horizon.periods.size(); ++t) {
     const auto& period = horizon.periods[t];
-    out += ";p" + std::to_string(t) + ":w=" + num(period.weight);
+    out += ";p" + std::to_string(t) + ":w=";
+    append_round_trip(out, period.weight);
     if (period.group_multipliers.empty()) {
-      out += ",m=" + num(period.multiplier);
+      out += ",m=";
+      append_round_trip(out, period.multiplier);
     } else {
       out += ",gm=";
       for (std::size_t i = 0; i < period.group_multipliers.size(); ++i) {
         if (i > 0) out += "|";
-        out += num(period.group_multipliers[i]);
+        append_round_trip(out, period.group_multipliers[i]);
       }
     }
     if (!period.failed_sites.empty()) {

@@ -90,8 +90,9 @@ inline constexpr int kMaxHorizonPeriods = 64;
 /// Canonical one-line encoding of the horizon (period weights, multipliers,
 /// failures, migration rate). Feeds the daemon's options_fingerprint so the
 /// result cache never serves a static result for a multi-period request (or
-/// vice versa), and labels sweep scenarios. Empty string for a static
-/// horizon.
+/// vice versa), and labels sweep scenarios. Numbers use their exact
+/// round-trip spelling (append_round_trip), so horizons that differ in any
+/// bit get different encodings. Empty string for a static horizon.
 [[nodiscard]] std::string horizon_fingerprint(const PlanningHorizon& horizon);
 
 /// A plan per period plus horizon-level totals.

@@ -1,13 +1,15 @@
 #include "model/instance_io.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <istream>
-#include <limits>
+#include <optional>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "common/error.h"
 #include "common/strings.h"
@@ -16,55 +18,108 @@ namespace etransform {
 
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-std::string format_number(double value) {
-  if (std::isinf(value)) return value > 0 ? "inf" : "-inf";
-  // Shortest representation that round-trips the double exactly.
-  char raw[64];
-  std::snprintf(raw, sizeof(raw), "%.12g", value);
-  double reparsed = 0.0;
-  std::sscanf(raw, "%lf", &reparsed);
-  if (reparsed == value) return raw;
-  std::snprintf(raw, sizeof(raw), "%.17g", value);
-  return raw;
-}
-
 /// Names may not contain whitespace or '#'; escape with '_' on write.
-std::string sanitize_name(const std::string& raw) {
-  std::string name;
-  name.reserve(raw.size());
-  for (const char c : raw) {
-    name.push_back(
-        (std::isspace(static_cast<unsigned char>(c)) != 0 || c == '#') ? '_'
-                                                                       : c);
+void append_name(std::string& out, std::string_view raw) {
+  if (raw.empty()) {
+    out += '_';
+    return;
   }
-  return name.empty() ? std::string("_") : name;
+  for (const char c : raw) {
+    out += (std::isspace(static_cast<unsigned char>(c)) != 0 || c == '#')
+               ? '_'
+               : c;
+  }
 }
 
-void write_schedule(std::ostream& out, const char* key,
-                    const std::string& site, const StepSchedule& schedule) {
-  out << key << ' ' << site;
-  for (const auto& tier : schedule.tiers()) {
-    out << ' ' << format_number(tier.upto) << ' '
-        << format_number(tier.unit_price);
-  }
-  out << '\n';
+std::string sanitize_name(std::string_view raw) {
+  std::string name;
+  append_name(name, raw);
+  return name;
 }
+
+/// Sanitized names of `entities`, in order: each name is escaped once per
+/// write however often it is referenced.
+template <class Entity>
+std::vector<std::string> sanitized_names(const std::vector<Entity>& entities) {
+  std::vector<std::string> names;
+  names.reserve(entities.size());
+  for (const Entity& entity : entities) {
+    names.push_back(sanitize_name(entity.name));
+  }
+  return names;
+}
+
+/// Appends " <text>".
+void text_field(std::string& out, std::string_view text) {
+  out += ' ';
+  out += text;
+}
+
+/// Appends " <number>" in its shortest exact spelling.
+void number_field(std::string& out, double value) {
+  out += ' ';
+  append_round_trip(out, value);
+}
+
+void int_field(std::string& out, int value) {
+  char buf[16];
+  out += ' ';
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
+
+void write_schedule(std::string& out, const char* key,
+                    const std::string& site, const StepSchedule& schedule) {
+  out += key;
+  text_field(out, site);
+  for (const auto& tier : schedule.tiers()) {
+    number_field(out, tier.upto);
+    number_field(out, tier.unit_price);
+  }
+  out += '\n';
+}
+
+/// Walks text the way std::getline does ('\n'-terminated lines, and a last
+/// line without one), cuts '#' comments, and splits each line on whitespace
+/// into one field vector reused for the whole text.
+class LineReader {
+ public:
+  explicit LineReader(std::string_view text) : text_(text) {}
+
+  /// Moves to the next line; false once the text is used up.
+  bool next() {
+    if (pos_ >= text_.size()) return false;
+    const std::size_t newline = text_.find('\n', pos_);
+    const std::size_t stop =
+        newline == std::string_view::npos ? text_.size() : newline;
+    std::string_view line = text_.substr(pos_, stop - pos_);
+    pos_ = stop + 1;
+    ++line_number_;
+    line = line.substr(0, line.find('#'));
+    split_whitespace(line, fields_);
+    return true;
+  }
+
+  [[nodiscard]] const std::vector<std::string>& fields() const {
+    return fields_;
+  }
+  [[nodiscard]] int line_number() const { return line_number_; }
+
+ private:
+  std::string_view text_;
+  std::size_t pos_ = 0;
+  int line_number_ = 0;
+  std::vector<std::string> fields_;
+};
 
 class Parser {
  public:
-  explicit Parser(const std::string& text) : input_(text) {}
+  explicit Parser(std::string_view text) : lines_(text) {}
 
   ConsolidationInstance run() {
-    std::string line;
     bool saw_header = false;
     bool saw_end = false;
-    while (std::getline(input_, line)) {
-      ++line_number_;
-      const auto hash = line.find('#');
-      if (hash != std::string::npos) line.resize(hash);
-      const auto fields = split_whitespace(line);
+    while (lines_.next()) {
+      const std::vector<std::string>& fields = lines_.fields();
       if (fields.empty()) continue;
       if (!saw_header) {
         if (fields.size() < 2 || fields[0] != "etransform-instance" ||
@@ -90,23 +145,14 @@ class Parser {
 
  private:
   [[noreturn]] void fail(const std::string& what) const {
-    throw ParseError("instance line " + std::to_string(line_number_) + ": " +
-                     what);
+    throw ParseError("instance line " + std::to_string(lines_.line_number()) +
+                     ": " + what);
   }
 
   double number(const std::string& field) const {
-    if (field == "inf") return kInf;
-    if (field == "-inf") return -kInf;
-    try {
-      std::size_t used = 0;
-      const double value = std::stod(field, &used);
-      if (used != field.size()) fail("bad number '" + field + "'");
-      return value;
-    } catch (const ParseError&) {
-      throw;
-    } catch (const std::exception&) {
-      fail("bad number '" + field + "'");
-    }
+    const std::optional<double> value = parse_double(field);
+    if (!value) fail("bad number '" + field + "'");
+    return *value;
   }
 
   int integer(const std::string& field) const {
@@ -122,6 +168,15 @@ class Parser {
     if (fields.size() != n) {
       fail(std::string("'") + what + "' expects " + std::to_string(n - 1) +
            " fields");
+    }
+  }
+
+  /// A per-location row: a name, then the values.
+  void expect_row(const std::vector<std::string>& fields,
+                  const char* what) const {
+    if (fields.size() < 2) {
+      fail(std::string("'") + what + "' expects a name and one value per "
+                                     "location");
     }
   }
 
@@ -203,10 +258,12 @@ class Parser {
       else if (key == "site.labor") s.labor_cost_per_admin = schedule;
       else s.wan_cost_per_megabit = schedule;
     } else if (key == "site.latency") {
+      expect_row(fields, "site.latency");
       const int site = lookup(site_index_, fields[1], "site");
       instance_.latency_ms[static_cast<std::size_t>(site)] =
           per_location(fields, 2);
     } else if (key == "site.vpn") {
+      expect_row(fields, "site.vpn");
       const int site = lookup(site_index_, fields[1], "site");
       vpn_rows_[static_cast<std::size_t>(site)] = per_location(fields, 2);
       any_vpn_ = true;
@@ -267,6 +324,7 @@ class Parser {
       instance_.as_is_centers.push_back(std::move(center));
       instance_.as_is_latency_ms.emplace_back();
     } else if (key == "asis.latency") {
+      expect_row(fields, "asis.latency");
       const int center = lookup(asis_index_, fields[1], "as-is center");
       instance_.as_is_latency_ms[static_cast<std::size_t>(center)] =
           per_location(fields, 2);
@@ -332,8 +390,7 @@ class Parser {
     }
   }
 
-  std::istringstream input_;
-  int line_number_ = 0;
+  LineReader lines_;
   ConsolidationInstance instance_;
   std::unordered_map<std::string, int> location_index_;
   std::unordered_map<std::string, int> site_index_;
@@ -346,122 +403,145 @@ class Parser {
 
 }  // namespace
 
-void write_instance(const ConsolidationInstance& instance,
-                    std::ostream& out) {
+std::string write_instance(const ConsolidationInstance& instance) {
   validate_instance(instance);
-  out << "etransform-instance v1\n";
-  out << "name " << sanitize_name(instance.name) << '\n';
+  std::string out;
+  // Generous: about 24 bytes per number or name (the texts average 12).
+  // The result is trimmed to size before it is returned.
+  const std::size_t row = instance.locations.size() + 8;
+  out.reserve(1024 + 24 * row *
+                         (instance.sites.size() * 2 + instance.groups.size() +
+                          instance.as_is_centers.size()));
+  out += "etransform-instance v1\nname ";
+  append_name(out, instance.name);
+  out += "\nparams";
   const auto& p = instance.params;
-  out << "params " << format_number(p.server_power_kw) << ' '
-      << format_number(p.servers_per_admin) << ' '
-      << format_number(p.vpn_link_capacity_megabits) << ' '
-      << format_number(p.dr_server_cost) << ' '
-      << format_number(p.hours_per_month) << '\n';
-  for (const auto& location : instance.locations) {
-    out << "location " << sanitize_name(location.name) << ' '
-        << format_number(location.position.x) << ' '
-        << format_number(location.position.y) << '\n';
+  for (const double value :
+       {p.server_power_kw, p.servers_per_admin, p.vpn_link_capacity_megabits,
+        p.dr_server_cost, p.hours_per_month}) {
+    number_field(out, value);
   }
+  out += '\n';
+  for (const auto& location : instance.locations) {
+    out += "location ";
+    append_name(out, location.name);
+    number_field(out, location.position.x);
+    number_field(out, location.position.y);
+    out += '\n';
+  }
+  const std::vector<std::string> site_names = sanitized_names(instance.sites);
+  const std::vector<std::string> group_names =
+      sanitized_names(instance.groups);
+  const std::vector<std::string> center_names =
+      sanitized_names(instance.as_is_centers);
   for (int j = 0; j < instance.num_sites(); ++j) {
     const auto& site = instance.sites[static_cast<std::size_t>(j)];
-    const std::string name = sanitize_name(site.name);
-    out << "site " << name << ' ' << format_number(site.position.x) << ' '
-        << format_number(site.position.y) << ' ' << site.capacity_servers
-        << '\n';
+    const std::string& name = site_names[static_cast<std::size_t>(j)];
+    out += "site";
+    text_field(out, name);
+    number_field(out, site.position.x);
+    number_field(out, site.position.y);
+    int_field(out, site.capacity_servers);
+    out += '\n';
     write_schedule(out, "site.space", name, site.space_cost_per_server);
     write_schedule(out, "site.power", name, site.power_cost_per_kwh);
     write_schedule(out, "site.labor", name, site.labor_cost_per_admin);
     write_schedule(out, "site.wan", name, site.wan_cost_per_megabit);
-    out << "site.latency " << name;
+    out += "site.latency";
+    text_field(out, name);
     for (const double ms : instance.latency_ms[static_cast<std::size_t>(j)]) {
-      out << ' ' << format_number(ms);
+      number_field(out, ms);
     }
-    out << '\n';
+    out += '\n';
     if (instance.use_vpn_links) {
-      out << "site.vpn " << name;
+      out += "site.vpn";
+      text_field(out, name);
       for (const double cost :
            instance.vpn_link_monthly_cost[static_cast<std::size_t>(j)]) {
-        out << ' ' << format_number(cost);
+        number_field(out, cost);
       }
-      out << '\n';
+      out += '\n';
     }
   }
   for (int i = 0; i < instance.num_groups(); ++i) {
     const auto& group = instance.groups[static_cast<std::size_t>(i)];
-    const std::string name = sanitize_name(group.name);
-    out << "group " << name << ' ' << group.servers << ' '
-        << format_number(group.monthly_data_megabits);
+    const std::string& name = group_names[static_cast<std::size_t>(i)];
+    out += "group";
+    text_field(out, name);
+    int_field(out, group.servers);
+    number_field(out, group.monthly_data_megabits);
     for (const double users : group.users_per_location) {
-      out << ' ' << format_number(users);
+      number_field(out, users);
     }
-    out << '\n';
+    out += '\n';
     if (!group.latency_penalty.is_insensitive()) {
-      out << "group.penalty " << name;
+      out += "group.penalty";
+      text_field(out, name);
       for (const auto& step : group.latency_penalty.steps()) {
-        out << ' ' << format_number(step.threshold_ms) << ' '
-            << format_number(step.penalty_per_user);
+        number_field(out, step.threshold_ms);
+        number_field(out, step.penalty_per_user);
       }
-      out << '\n';
+      out += '\n';
     }
     if (!group.allowed_sites.empty()) {
-      out << "group.allow " << name;
+      out += "group.allow";
+      text_field(out, name);
       for (const int site : group.allowed_sites) {
-        out << ' '
-            << sanitize_name(
-                   instance.sites[static_cast<std::size_t>(site)].name);
+        text_field(out, site_names[static_cast<std::size_t>(site)]);
       }
-      out << '\n';
+      out += '\n';
     }
     if (group.pinned_site >= 0) {
-      out << "group.pin " << name << ' '
-          << sanitize_name(instance.sites[static_cast<std::size_t>(
-                                              group.pinned_site)]
-                               .name)
-          << '\n';
+      out += "group.pin";
+      text_field(out, name);
+      text_field(out,
+                 site_names[static_cast<std::size_t>(group.pinned_site)]);
+      out += '\n';
     }
   }
   for (const auto& sep : instance.separations) {
-    out << "separate "
-        << sanitize_name(
-               instance.groups[static_cast<std::size_t>(sep.group_a)].name)
-        << ' '
-        << sanitize_name(
-               instance.groups[static_cast<std::size_t>(sep.group_b)].name)
-        << '\n';
+    out += "separate";
+    text_field(out, group_names[static_cast<std::size_t>(sep.group_a)]);
+    text_field(out, group_names[static_cast<std::size_t>(sep.group_b)]);
+    out += '\n';
   }
   for (std::size_t d = 0; d < instance.as_is_centers.size(); ++d) {
     const auto& center = instance.as_is_centers[d];
-    const std::string name = sanitize_name(center.name);
-    out << "asis " << name << ' ' << format_number(center.position.x) << ' '
-        << format_number(center.position.y) << ' '
-        << format_number(center.space_cost_per_server) << ' '
-        << format_number(center.wan_cost_per_megabit) << ' '
-        << format_number(center.power_cost_per_kwh) << ' '
-        << format_number(center.labor_cost_per_admin) << '\n';
+    const std::string& name = center_names[d];
+    out += "asis";
+    text_field(out, name);
+    for (const double value :
+         {center.position.x, center.position.y, center.space_cost_per_server,
+          center.wan_cost_per_megabit, center.power_cost_per_kwh,
+          center.labor_cost_per_admin}) {
+      number_field(out, value);
+    }
+    out += '\n';
     if (!instance.as_is_latency_ms.empty()) {
-      out << "asis.latency " << name;
+      out += "asis.latency";
+      text_field(out, name);
       for (const double ms : instance.as_is_latency_ms[d]) {
-        out << ' ' << format_number(ms);
+        number_field(out, ms);
       }
-      out << '\n';
+      out += '\n';
     }
   }
   for (std::size_t i = 0; i < instance.as_is_placement.size(); ++i) {
-    out << "place " << sanitize_name(instance.groups[i].name) << ' '
-        << sanitize_name(
-               instance
-                   .as_is_centers[static_cast<std::size_t>(
-                       instance.as_is_placement[i])]
-                   .name)
-        << '\n';
+    out += "place";
+    text_field(out, group_names[i]);
+    text_field(out, center_names[static_cast<std::size_t>(
+                        instance.as_is_placement[i])]);
+    out += '\n';
   }
-  out << "end\n";
+  out += "end\n";
+  // The daemon keeps this text for a job's lifetime; hold no slack.
+  out.shrink_to_fit();
+  return out;
 }
 
-std::string write_instance(const ConsolidationInstance& instance) {
-  std::ostringstream out;
-  write_instance(instance, out);
-  return out.str();
+void write_instance(const ConsolidationInstance& instance,
+                    std::ostream& out) {
+  out << write_instance(instance);
 }
 
 ConsolidationInstance parse_instance(const std::string& text) {
@@ -478,37 +558,39 @@ ConsolidationInstance parse_instance(std::istream& in) {
 std::string write_horizon(const PlanningHorizon& horizon,
                           const ConsolidationInstance& instance) {
   validate_horizon(instance, horizon);
-  std::ostringstream out;
-  out << "etransform-horizon v1\n";
+  std::string out = "etransform-horizon v1\n";
   if (horizon.migration_cost_per_server != 0.0) {
-    out << "migration_cost "
-        << format_number(horizon.migration_cost_per_server) << '\n';
+    out += "migration_cost";
+    number_field(out, horizon.migration_cost_per_server);
+    out += '\n';
   }
   for (std::size_t t = 0; t < horizon.periods.size(); ++t) {
     const auto& period = horizon.periods[t];
     const std::string name =
         sanitize_name(horizon.period_name(static_cast<int>(t)));
-    out << "period " << name << ' ' << format_number(period.weight) << ' '
-        << format_number(period.multiplier) << '\n';
+    out += "period";
+    text_field(out, name);
+    number_field(out, period.weight);
+    number_field(out, period.multiplier);
+    out += '\n';
     if (!period.group_multipliers.empty()) {
-      out << "period.group_multipliers " << name;
-      for (const double m : period.group_multipliers) {
-        out << ' ' << format_number(m);
-      }
-      out << '\n';
+      out += "period.group_multipliers";
+      text_field(out, name);
+      for (const double m : period.group_multipliers) number_field(out, m);
+      out += '\n';
     }
     if (!period.failed_sites.empty()) {
-      out << "period.fail " << name;
+      out += "period.fail";
+      text_field(out, name);
       for (const int j : period.failed_sites) {
-        out << ' '
-            << sanitize_name(
-                   instance.sites[static_cast<std::size_t>(j)].name);
+        text_field(out, sanitize_name(
+                            instance.sites[static_cast<std::size_t>(j)].name));
       }
-      out << '\n';
+      out += '\n';
     }
   }
-  out << "end\n";
-  return out.str();
+  out += "end\n";
+  return out;
 }
 
 PlanningHorizon parse_horizon(const std::string& text,
@@ -520,38 +602,25 @@ PlanningHorizon parse_horizon(const std::string& text,
   }
   std::unordered_map<std::string, int> period_index;
   PlanningHorizon horizon;
-  std::istringstream input(text);
-  std::string line;
-  int line_number = 0;
+  LineReader lines(text);
   bool saw_header = false;
   bool saw_end = false;
   const auto fail = [&](const std::string& what) -> void {
-    throw ParseError("horizon line " + std::to_string(line_number) + ": " +
-                     what);
+    throw ParseError("horizon line " + std::to_string(lines.line_number()) +
+                     ": " + what);
   };
   const auto number = [&](const std::string& field) {
-    try {
-      std::size_t used = 0;
-      const double value = std::stod(field, &used);
-      if (used != field.size()) fail("bad number '" + field + "'");
-      return value;
-    } catch (const ParseError&) {
-      throw;
-    } catch (const std::exception&) {
-      fail("bad number '" + field + "'");
-    }
-    return 0.0;
+    const std::optional<double> value = parse_double(field);
+    if (!value) fail("bad number '" + field + "'");
+    return *value;
   };
   const auto period_at = [&](const std::string& name) -> DemandPeriod& {
     const auto it = period_index.find(name);
     if (it == period_index.end()) fail("unknown period '" + name + "'");
     return horizon.periods[static_cast<std::size_t>(it->second)];
   };
-  while (std::getline(input, line)) {
-    ++line_number;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    const auto fields = split_whitespace(line);
+  while (lines.next()) {
+    const std::vector<std::string>& fields = lines.fields();
     if (fields.empty()) continue;
     if (!saw_header) {
       if (fields.size() < 2 || fields[0] != "etransform-horizon" ||

@@ -27,6 +27,19 @@
 // precede references. write_instance -> parse_instance is a fixed point
 // (tested), and parse always returns a validated instance.
 //
+// Byte stability. etransformd hashes write_instance's text as its cache
+// key, so the writer's bytes are a contract, pinned by golden digests in
+// server_test:
+//   - every number is the %.12g spelling when that reads back to the same
+//     double, else %.17g (append_round_trip in common/strings.h);
+//   - names have whitespace and '#' replaced by '_' (an empty name is "_");
+//   - one space between fields, '\n' after every line, no comments, and
+//     directives in the order listed above.
+// Any text that parses reaches a byte fixed point after one write. Numbers
+// are read as std::stod reads them with every character used (parse_double
+// in common/strings.h): a subnormal, underflowing or overflowing value is a
+// "bad number".
+//
 // Multi-period demand timelines (model/horizon.h) have a companion
 // line-oriented format (the ".etfh" file, CLI --traffic-curve):
 //

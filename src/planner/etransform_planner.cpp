@@ -58,23 +58,6 @@ PlannerReport EtransformPlanner::plan(const PlanInput& input,
   return report;
 }
 
-#if defined(__GNUC__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-PlannerReport EtransformPlanner::plan(const CostModel& model,
-                                      SolveContext& ctx,
-                                      const lp::NamedBasis* root_warm)
-    const {
-  PlanInput input;
-  input.model = &model;
-  input.root_warm = root_warm;
-  return plan(input, ctx);
-}
-#if defined(__GNUC__)
-#pragma GCC diagnostic pop
-#endif
-
 PlannerReport EtransformPlanner::plan_dispatch(
     const CostModel& model, SolveContext& ctx,
     const lp::NamedBasis* root_warm) const {

@@ -174,15 +174,6 @@ class EtransformPlanner {
   [[nodiscard]] PlannerReport plan(const PlanInput& input,
                                    SolveContext& ctx) const;
 
-  /// Deprecated single-snapshot shim (kept for one PR, like
-  /// MilpOptions -> SolverOptions): forwards to
-  /// plan({.model=&model, .root_warm=root_warm}, ctx).
-  [[deprecated(
-      "use plan(PlanInput{...}, ctx); this single-snapshot overload will be "
-      "removed next PR")]] [[nodiscard]] PlannerReport
-  plan(const CostModel& model, SolveContext& ctx,
-       const lp::NamedBasis* root_warm = nullptr) const;
-
   [[nodiscard]] const PlannerOptions& options() const { return options_; }
 
  private:

@@ -1,10 +1,19 @@
 // Unit tests for the common utilities: RNG determinism and distributions,
-// money/table formatting, string helpers, CSV escaping, strong ids.
+// money/table formatting, string helpers, exact number text, CSV escaping,
+// strong ids.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <numeric>
+#include <optional>
+#include <random>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/csv.h"
 #include "common/error.h"
@@ -173,6 +182,200 @@ TEST(Strings, CaseHelpers) {
   EXPECT_FALSE(starts_with_icase("Sub", "subject"));
   EXPECT_TRUE(equals_icase("END", "end"));
   EXPECT_FALSE(equals_icase("end", "ends"));
+}
+
+TEST(Strings, SplitWhitespaceIntoReusesTheVector) {
+  std::vector<std::string> fields;
+  split_whitespace(" site.latency dc0 1 2 ", fields);
+  ASSERT_EQ(fields.size(), 4u);
+  EXPECT_EQ(fields[3], "2");
+  split_whitespace("end", fields);
+  EXPECT_EQ(fields, std::vector<std::string>{"end"});
+  split_whitespace(" \t\r", fields);
+  EXPECT_TRUE(fields.empty());
+}
+
+// ---- exact number text ------------------------------------------------------
+
+/// The snprintf/sscanf round trip append_round_trip replaced, kept as its
+/// oracle.
+std::string printf_round_trip(double value) {
+  if (std::isinf(value)) return value > 0 ? "inf" : "-inf";
+  char raw[64];
+  std::snprintf(raw, sizeof(raw), "%.12g", value);
+  double reparsed = 0.0;
+  std::sscanf(raw, "%lf", &reparsed);
+  if (reparsed == value) return raw;
+  std::snprintf(raw, sizeof(raw), "%.17g", value);
+  return raw;
+}
+
+/// What the .etf parsers accepted before parse_double: std::stod, with
+/// every character consumed.
+std::optional<double> stod_oracle(const std::string& field) {
+  try {
+    std::size_t used = 0;
+    const double value = std::stod(field, &used);
+    if (used == field.size()) return value;
+  } catch (const std::exception&) {
+  }
+  return std::nullopt;
+}
+
+/// Same outcome and, when accepted, the same bits (any NaN of one sign
+/// matches any other).
+bool same_reading(const std::optional<double>& a,
+                  const std::optional<double>& b) {
+  if (a.has_value() != b.has_value()) return false;
+  if (!a) return true;
+  if (std::isnan(*a) || std::isnan(*b)) {
+    return std::isnan(*a) && std::isnan(*b) &&
+           std::signbit(*a) == std::signbit(*b);
+  }
+  return std::bit_cast<std::uint64_t>(*a) == std::bit_cast<std::uint64_t>(*b);
+}
+
+TEST(RoundTripFormat, SpellsValuesLikePrintf) {
+  EXPECT_EQ(format_round_trip(0.1), "0.1");
+  EXPECT_EQ(format_round_trip(730), "730");
+  EXPECT_EQ(format_round_trip(1e20), "1e+20");
+  EXPECT_EQ(format_round_trip(1.5e-5), "1.5e-05");
+  EXPECT_EQ(format_round_trip(1.0 / 3.0), "0.33333333333333331");
+  EXPECT_EQ(format_round_trip(-0.0), "-0");
+  EXPECT_EQ(format_round_trip(std::numeric_limits<double>::infinity()),
+            "inf");
+  EXPECT_EQ(format_round_trip(-std::numeric_limits<double>::infinity()),
+            "-inf");
+  std::string out = "x=";
+  append_round_trip(out, 2.5);
+  EXPECT_EQ(out, "x=2.5");
+}
+
+TEST(RoundTripFormat, MatchesPrintfOracleOnAMillionDoubles) {
+  std::mt19937_64 bits(20121);
+  std::vector<double> values = {
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::epsilon()};
+  values.reserve(1'100'000);
+  for (int k = 0; k < 300'000; ++k) {  // random bit patterns, NaNs included
+    values.push_back(std::bit_cast<double>(bits()));
+  }
+  for (int k = 0; k < 100'000; ++k) {  // subnormals
+    values.push_back(std::bit_cast<double>(
+        (bits() & 0x800F'FFFF'FFFF'FFFFull) | (k == 0 ? 1u : 0u)));
+  }
+  for (int k = 0; k < 200'000; ++k) {  // integers, small and up to 2^53
+    const std::uint64_t n = k % 2 == 0 ? bits() % 100'000 : bits() >> 11;
+    values.push_back(k % 4 < 2 ? static_cast<double>(n)
+                               : -static_cast<double>(n));
+  }
+  for (int k = 0; k < 100'000; ++k) {
+    // The 12/17-digit boundary: a 12-digit decimal and its neighbours.
+    char text[40];
+    std::snprintf(text, sizeof(text), "%llu.%011llue%d",
+                  static_cast<unsigned long long>(1 + bits() % 9),
+                  static_cast<unsigned long long>(bits() % 100'000'000'000ull),
+                  static_cast<int>(bits() % 601) - 300);
+    const double v = std::strtod(text, nullptr);
+    values.push_back(v);
+    values.push_back(std::nextafter(v, 0.0));
+    values.push_back(std::nextafter(v, 1e308));
+  }
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (int k = 0; k < 200'000; ++k) {  // datagen-like prices and latencies
+    const double scale = std::pow(10.0, static_cast<int>(bits() % 13) - 6);
+    values.push_back(unit(bits) * scale);
+  }
+  ASSERT_GE(values.size(), 1'000'000u);
+  int mismatches = 0;
+  std::string out;
+  for (const double v : values) {
+    out.clear();
+    append_round_trip(out, v);
+    const std::string expected = printf_round_trip(v);
+    if (out != expected && ++mismatches <= 10) {
+      ADD_FAILURE() << "bits " << std::bit_cast<std::uint64_t>(v) << ": got "
+                    << out << ", oracle " << expected;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(ParseDouble, SpellingTableMatchesStod) {
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* text;
+    std::optional<double> value;
+  };
+  const Case cases[] = {
+      {"5", 5.0},
+      {"-5", -5.0},
+      {"+5", 5.0},
+      {"0x10", 16.0},
+      {"5.", 5.0},
+      {".5", 0.5},
+      {"-.5", -0.5},
+      {"1e", std::nullopt},
+      {"1e+", std::nullopt},
+      {"1e5x", std::nullopt},
+      {"1e-310", std::nullopt},    // subnormal: stod's out_of_range
+      {"4.9e-324", std::nullopt},  // subnormal: stod's out_of_range
+      {"1e-400", std::nullopt},    // underflows to zero
+      {"1e999", std::nullopt},     // overflows
+      {"nan", std::numeric_limits<double>::quiet_NaN()},
+      {"infinity", inf},
+      {"inf", inf},
+      {"-inf", -inf},
+      {"-0", -0.0},
+      {"00012", 12.0},
+      {"2.2250738585072011e-308", std::nullopt},  // just below DBL_MIN
+      {"2.2250738585072014e-308", std::numeric_limits<double>::min()},
+      {"1.7976931348623157e308", std::numeric_limits<double>::max()},
+      {"0e999", 0.0},
+      {"", std::nullopt},
+      {"-", std::nullopt},
+      {" 5", 5.0},
+      {"5 ", std::nullopt},
+      {"1.5E+3", 1500.0},
+      {"3.058157767851759e-06", 3.058157767851759e-06},
+  };
+  for (const Case& c : cases) {
+    const std::optional<double> got = parse_double(c.text);
+    EXPECT_TRUE(same_reading(got, c.value)) << "'" << c.text << "'";
+    EXPECT_TRUE(same_reading(got, stod_oracle(c.text))) << "'" << c.text
+                                                        << "'";
+  }
+}
+
+TEST(ParseDouble, AgreesWithStodOnFormattedAndMutatedText) {
+  std::mt19937_64 bits(744);
+  const std::string alphabet = "0123456789eE.+-xXpPinfaINFA #";
+  int mismatches = 0;
+  for (int k = 0; k < 200'000; ++k) {
+    std::string text = format_round_trip(std::bit_cast<double>(bits()));
+    if (k % 2 == 1) {  // one random edit: replace, delete or insert
+      const std::size_t pos = bits() % text.size();
+      const char c = alphabet[bits() % alphabet.size()];
+      switch (bits() % 3) {
+        case 0: text[pos] = c; break;
+        case 1: text.erase(pos, 1); break;
+        default: text.insert(pos, 1, c); break;
+      }
+    }
+    if (!same_reading(parse_double(text), stod_oracle(text)) &&
+        ++mismatches <= 10) {
+      ADD_FAILURE() << "'" << text << "'";
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
 }
 
 TEST(Csv, EscapesSpecialCharacters) {

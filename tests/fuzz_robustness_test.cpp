@@ -71,11 +71,17 @@ TEST_P(InstanceParserFuzz, MutatedInstanceFilesNeverCrash) {
   for (int round = 0; round < 30; ++round) {
     const std::string mutated =
         mutate(rng, base, 1 + static_cast<int>(rng.uniform_int(0, 10)));
+    ConsolidationInstance parsed;
     try {
-      (void)parse_instance(mutated);
+      parsed = parse_instance(mutated);
     } catch (const Error&) {
       // ParseError / InvalidInputError / InfeasibleError are all fine.
+      continue;
     }
+    // Whatever parses is canonical after one write: write -> parse -> write
+    // is a byte fixed point (the daemon's cache key relies on it).
+    const std::string canonical = write_instance(parsed);
+    EXPECT_EQ(write_instance(parse_instance(canonical)), canonical);
   }
 }
 

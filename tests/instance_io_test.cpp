@@ -2,7 +2,11 @@
 // files, and malformed-input rejection.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <optional>
+#include <string>
 
 #include "common/error.h"
 #include "common/random.h"
@@ -151,6 +155,59 @@ TEST(InstanceIo, RejectsMalformedFiles) {
       (void)parse_instance("etransform-instance v1\nlocation l 0 0\n"
                            "site s 0 0 10\nsite.latency s 1 2\nend\n"),
       ParseError);
+  // Per-location rows without even a name.
+  for (const char* row : {"site.latency", "site.vpn", "asis.latency"}) {
+    EXPECT_THROW((void)parse_instance("etransform-instance v1\nlocation l 0 "
+                                      "0\nsite s 0 0 10\n" +
+                                      std::string(row) + "\nend\n"),
+                 ParseError)
+        << row;
+  }
+}
+
+TEST(InstanceIo, NumberSpellingsKeepTheirOutcome) {
+  // Each spelling as a location coordinate; the expected bits (nullopt =
+  // "bad number") are what the std::stod-based parser read.
+  const std::pair<const char*, std::optional<std::uint64_t>> cases[] = {
+      {"5", 0x4014000000000000},
+      {"-5", 0xc014000000000000},
+      {"+5", 0x4014000000000000},
+      {"0x10", 0x4030000000000000},
+      {"5.", 0x4014000000000000},
+      {".5", 0x3fe0000000000000},
+      {"-.5", 0xbfe0000000000000},
+      {"1e", std::nullopt},
+      {"1e+", std::nullopt},
+      {"1e5x", std::nullopt},
+      {"1e-310", std::nullopt},
+      {"4.9e-324", std::nullopt},
+      {"1e-400", std::nullopt},
+      {"1e999", std::nullopt},
+      {"nan", 0x7ff8000000000000},
+      {"infinity", 0x7ff0000000000000},
+      {"-0", 0x8000000000000000},
+      {"00012", 0x4028000000000000},
+      {"2.2250738585072011e-308", std::nullopt},
+  };
+  for (const auto& [spelling, bits] : cases) {
+    const std::string text =
+        "etransform-instance v1\nlocation l " + std::string(spelling) +
+        " 0\nsite s 0 0 10\nsite.space s inf 1\nsite.power s inf 1\n"
+        "site.labor s inf 1\nsite.wan s inf 1\nsite.latency s 1\n"
+        "group g 1 0 1\nend\n";
+    try {
+      const ConsolidationInstance instance = parse_instance(text);
+      ASSERT_TRUE(bits.has_value()) << spelling << " should be rejected";
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(instance.locations[0].position.x),
+                *bits)
+          << spelling;
+    } catch (const ParseError& e) {
+      EXPECT_FALSE(bits.has_value()) << spelling << ": " << e.what();
+      EXPECT_NE(std::string(e.what()).find("line 2: bad number"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(InstanceIo, ReportsLineNumbers) {

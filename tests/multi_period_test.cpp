@@ -355,21 +355,25 @@ TEST(MultiPeriod, HorizonFileRoundTrips) {
   EXPECT_EQ(horizon_fingerprint(parsed), horizon_fingerprint(horizon));
 }
 
-// ---- the deprecated single-snapshot shim -----------------------------------
-
-TEST(MultiPeriod, DeprecatedPlanOverloadStillMatchesPlanInput) {
-  Rng rng(7500);
-  const auto instance = make_random_instance(rng, 6, 3, 2);
-  const CostModel model(instance);
-  const EtransformPlanner planner;
-  SolveContext ctx;
-  const PlannerReport via_input = planner.plan(PlanInput(model), ctx);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const PlannerReport via_shim = planner.plan(model, ctx);
-#pragma GCC diagnostic pop
-  EXPECT_EQ(via_shim.plan.primary, via_input.plan.primary);
-  EXPECT_NEAR(via_shim.plan.cost.total(), via_input.plan.cost.total(), 1e-9);
+TEST(MultiPeriod, HorizonFingerprintSpellsEveryNumberExactly) {
+  EXPECT_EQ(horizon_fingerprint(PlanningHorizon{}), "");
+  PlanningHorizon base = PlanningHorizon::uniform(2, 1.0);
+  for (auto& period : base.periods) period.weight = 1.0;
+  base.periods[1].group_multipliers = {0.5, 2.0};
+  const std::string fp = horizon_fingerprint(base);
+  // Round numbers keep their short spelling.
+  EXPECT_EQ(fp, "T=2;mig=1;p0:w=1,m=1;p1:w=1,gm=0.5|2");
+  // Each variant equals `base` to 12 significant digits, so a %.12g
+  // encoding would have given it base's cache key.
+  const double near_one = 1.0 + 1e-12;
+  std::vector<PlanningHorizon> variants(4, base);
+  variants[0].migration_cost_per_server = near_one;
+  variants[1].periods[1].weight = near_one;
+  variants[2].periods[0].multiplier = near_one;
+  variants[3].periods[1].group_multipliers[1] = 2.0 * near_one;
+  for (const PlanningHorizon& variant : variants) {
+    EXPECT_NE(horizon_fingerprint(variant), fp);
+  }
 }
 
 }  // namespace

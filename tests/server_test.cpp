@@ -56,6 +56,27 @@ TEST(InstanceCacheTest, DigestIsDeterministicAndTextSensitive) {
             server::cache_key("insto", "pts"));  // split must matter
 }
 
+TEST(InstanceCacheTest, CanonicalTextKeepsItsGoldenBytes) {
+  // The cache key hashes write_instance's text, so its bytes are a
+  // contract: these digests were taken from the printf-based writer.
+  const auto golden = [](const std::string& text, std::size_t bytes,
+                         const char* digest) {
+    EXPECT_EQ(text.size(), bytes);
+    EXPECT_EQ(server::digest_hex(text), digest);
+  };
+  golden(write_instance(make_enterprise1()), 43'693, "2b943792a89c4033");
+  golden(write_instance(make_federal()), 671'406, "7181c21e10576440");
+  const ConsolidationInstance estate = make_rightsizing_estate({});
+  golden(write_instance(estate), 957, "59e2ec7b9ecda836");
+  TrafficCurveSpec spec;
+  spec.shape = TrafficCurveSpec::Shape::kDiurnal;
+  spec.num_periods = 4;
+  spec.trough_multiplier = 0.25;
+  spec.migration_cost_per_server = 0.5;
+  golden(write_horizon(make_traffic_curve(spec), estate), 126,
+         "f2017c2614be3d7b");
+}
+
 std::shared_ptr<server::CachedResult> make_result(const std::string& payload) {
   auto result = std::make_shared<server::CachedResult>();
   result->result_json = payload;
@@ -327,8 +348,9 @@ struct DaemonFixture {
 
   /// POSTs an api_version 2 plan request: a T-period peak/trough horizon
   /// with a unit migration rate, solved by the heuristic engine.
+  /// `weight` > 0 gives every period that duration (0 = the auto 1/T).
   json::Value submit_v2(const ConsolidationInstance& instance, int num_periods,
-                        bool cache = true) {
+                        bool cache = true, double weight = 0.0) {
     json::Value body = json::Value::object();
     body.set("instance", json::Value::string(write_instance(instance)));
     body.set("api_version", json::Value::number(2));
@@ -336,6 +358,7 @@ struct DaemonFixture {
     for (int t = 0; t < num_periods; ++t) {
       json::Value period = json::Value::object();
       period.set("multiplier", json::Value::number(t % 2 == 0 ? 1.0 : 0.5));
+      if (weight > 0.0) period.set("weight", json::Value::number(weight));
       periods.push(std::move(period));
     }
     body.set("periods", std::move(periods));
@@ -484,6 +507,21 @@ TEST(ServerTest, CacheNeverMixesStaticAndMultiPeriodResults) {
   EXPECT_EQ(static_again.get("state")->str, "done");
   EXPECT_TRUE(static_again.get("cache_hit")->b);
   EXPECT_EQ(static_again.get("result")->get("horizon"), nullptr);
+}
+
+TEST(ServerTest, PeriodWeightsDifferingInTheThirteenthDigitMiss) {
+  DaemonFixture fixture;
+  const ConsolidationInstance instance = small_instance();
+  fixture.await(job_id(fixture.submit_v2(instance, 2, true, 1.0)));
+  const json::Value again = fixture.submit_v2(instance, 2, true, 1.0);
+  EXPECT_EQ(again.get("state")->str, "done");
+  EXPECT_TRUE(again.get("cache_hit")->b);
+
+  // Equal to 12 significant digits, but a different horizon: a fresh solve,
+  // not the first request's result.
+  const json::Value near = fixture.submit_v2(instance, 2, true, 1.0 + 1e-12);
+  EXPECT_EQ(near.get("state")->str, "queued");
+  fixture.await(job_id(near));
 }
 
 TEST(ServerTest, MalformedRequestsGetHttp400AndUnknownPaths404) {

@@ -55,6 +55,17 @@ void* operator new[](std::size_t size) {
   if (void* p = std::malloc(size > 0 ? size : 1)) return p;
   throw std::bad_alloc();
 }
+// The nothrow forms must be replaced too: the library's defaults would
+// allocate outside malloc (libstdc++'s std::stable_sort buffer uses them),
+// and the frees below would then release memory malloc never handed out.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size > 0 ? size : 1);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size > 0 ? size : 1);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
