@@ -2,8 +2,10 @@
 # (BENCH_solver.json at the repo root) and fails when the branch-and-bound
 # node count or total LP iteration count of any matching BM_BranchAndBound*
 # configuration — the assignment MILPs and the deterministic time-expanded
-# multi-period solves — regresses by more than 20%. Both counters are deterministic
-# (unlike timings), so a tight multiplicative ceiling is safe in CI; the
+# multi-period solves — regresses by more than 20%, or when the heuristic
+# planner's deterministic counters (BM_HeuristicFederal) differ at all.
+# Node and lp_iters counts are deterministic too (unlike timings), so a
+# tight multiplicative ceiling is safe in CI; the
 # lp_iters ceiling is what keeps the dual-simplex reoptimization savings
 # locked in. Driven by the bench-smoke job:
 #   cmake -DCURRENT=<fresh.json> -DBASELINE=<BENCH_solver.json> \
@@ -52,11 +54,28 @@ function(parse_counter value out)
   endif()
 endfunction()
 
-# Index the baseline: benchmark name -> {node, lp_iters} counts.
+# True in ${out} when benchmark row ${i} of ${json} is a per-iteration run.
+function(is_iteration_row json i out)
+  string(JSON run_type ERROR_VARIABLE json_err GET "${json}" "benchmarks" ${i}
+         "run_type")
+  if(json_err STREQUAL "NOTFOUND" AND NOT run_type STREQUAL "iteration")
+    set(${out} FALSE PARENT_SCOPE)
+  else()
+    set(${out} TRUE PARENT_SCOPE)
+  endif()
+endfunction()
+
+# Index the baseline: benchmark name -> {node, lp_iters} counts. A baseline
+# taken with --benchmark_repetitions also holds mean/median/stddev/cv rows;
+# only the per-iteration rows are indexed.
 string(JSON baseline_count LENGTH "${baseline_json}" "benchmarks")
 math(EXPR baseline_last "${baseline_count} - 1")
 foreach(i RANGE ${baseline_last})
   string(JSON name GET "${baseline_json}" "benchmarks" ${i} "name")
+  is_iteration_row("${baseline_json}" ${i} iteration)
+  if(NOT iteration)
+    continue()
+  endif()
   string(MD5 key "${name}")
   foreach(counter nodes lp_iters)
     string(JSON value ERROR_VARIABLE json_err GET "${baseline_json}"
@@ -120,6 +139,62 @@ message(STATUS "bench regression check OK: ${checked} configurations within "
                "+20% of committed node and lp_iters counts")
 
 # ---------------------------------------------------------------------------
+# Heuristic planner fence: BM_HeuristicFederal's seeds_raced,
+# moves_committed and objective are deterministic, so they must match the
+# baseline exactly (CMake prints JSON numbers with 17 significant digits,
+# so equal strings mean equal doubles). Only per-iteration rows are compared.
+
+set(exact_counters seeds_raced moves_committed objective)
+
+foreach(i RANGE ${baseline_last})
+  string(JSON name GET "${baseline_json}" "benchmarks" ${i} "name")
+  is_iteration_row("${baseline_json}" ${i} iteration)
+  if(NOT name MATCHES "^BM_HeuristicFederal" OR NOT iteration)
+    continue()
+  endif()
+  string(MD5 key "${name}")
+  foreach(counter ${exact_counters})
+    string(JSON value GET "${baseline_json}" "benchmarks" ${i} "${counter}")
+    set(exact_${counter}_${key} "${value}")
+  endforeach()
+endforeach()
+
+set(exact_checked 0)
+foreach(i RANGE ${current_last})
+  string(JSON name GET "${current_json}" "benchmarks" ${i} "name")
+  is_iteration_row("${current_json}" ${i} iteration)
+  if(NOT name MATCHES "^BM_HeuristicFederal" OR NOT iteration)
+    continue()
+  endif()
+  string(MD5 key "${name}")
+  foreach(counter ${exact_counters})
+    if(NOT DEFINED exact_${counter}_${key})
+      message(FATAL_ERROR "${name}: no baseline '${counter}'; regenerate "
+                          "BENCH_solver.json")
+    endif()
+    string(JSON value ERROR_VARIABLE json_err GET "${current_json}"
+           "benchmarks" ${i} "${counter}")
+    if(NOT json_err STREQUAL "NOTFOUND")
+      message(FATAL_ERROR "${name} lost its '${counter}' counter")
+    endif()
+    if(NOT value STREQUAL exact_${counter}_${key})
+      message(FATAL_ERROR
+              "${counter} changed in ${name}: ${value} vs baseline "
+              "${exact_${counter}_${key}}. The heuristic planner is "
+              "deterministic; if its search legitimately changed, "
+              "regenerate BENCH_solver.json.")
+    endif()
+    message(STATUS "${name}: ${counter} = ${value} (matches baseline)")
+  endforeach()
+  math(EXPR exact_checked "${exact_checked} + 1")
+endforeach()
+
+if(exact_checked EQUAL 0)
+  message(FATAL_ERROR "no BM_HeuristicFederal run to check against the "
+                      "baseline; name scheme drift?")
+endif()
+
+# ---------------------------------------------------------------------------
 # Parallel tree-search speedup fence.
 
 if(NOT DEFINED SPEEDUP_MIN)
@@ -169,7 +244,8 @@ set(threads_rt_1 "")
 set(threads_rt_8 "")
 foreach(i RANGE ${current_last})
   string(JSON name GET "${current_json}" "benchmarks" ${i} "name")
-  if(NOT name MATCHES "^BM_BranchAndBoundAssignmentThreads/")
+  is_iteration_row("${current_json}" ${i} iteration)
+  if(NOT name MATCHES "^BM_BranchAndBoundAssignmentThreads/" OR NOT iteration)
     continue()
   endif()
   string(JSON rt GET "${current_json}" "benchmarks" ${i} "real_time")

@@ -11,21 +11,31 @@ CostModel::CostModel(const ConsolidationInstance& instance)
   validate_instance(instance);
   const int num_groups = instance.num_groups();
   const int num_sites = instance.num_sites();
-  avg_latency_.resize(static_cast<std::size_t>(num_groups) *
-                      static_cast<std::size_t>(num_sites));
-  wan_cost_.resize(avg_latency_.size());
+  const std::size_t cells = static_cast<std::size_t>(num_groups) *
+                            static_cast<std::size_t>(num_sites);
+  avg_latency_.resize(cells);
+  wan_cost_.resize(cells);
+  placement_cost_.resize(cells);
+  // Flat mode prices WAN at each site's first-tier rate.
+  std::vector<Money> base_wan_price;
+  if (!instance.use_vpn_links) {
+    for (const auto& site : instance.sites) {
+      base_wan_price.push_back(site.wan_cost_per_megabit.unit_price(0.0));
+    }
+  }
   for (int i = 0; i < num_groups; ++i) {
     const auto& group = instance.groups[static_cast<std::size_t>(i)];
     const double total_users = group.total_users();
     for (int j = 0; j < num_sites; ++j) {
-      const auto& latency_row =
-          instance.latency_ms[static_cast<std::size_t>(j)];
-      avg_latency_[index(i, j)] =
-          weighted_average_latency(latency_row, group.users_per_location);
+      const std::size_t k = index(i, j);
+      const double avg_latency = weighted_average_latency(
+          instance.latency_ms[static_cast<std::size_t>(j)],
+          group.users_per_location);
+      avg_latency_[k] = avg_latency;
+      Money wan = 0.0;
       if (instance.use_vpn_links) {
         // Dedicated links: links to location r carry the user-proportional
         // share of the group's traffic, each link has capacity gamma.
-        Money total = 0.0;
         if (total_users > 0.0 && group.monthly_data_megabits > 0.0) {
           for (int r = 0; r < instance.num_locations(); ++r) {
             const double share =
@@ -34,18 +44,20 @@ CostModel::CostModel(const ConsolidationInstance& instance)
             const double links_needed =
                 share * group.monthly_data_megabits /
                 instance.params.vpn_link_capacity_megabits;
-            total += links_needed *
-                     instance.vpn_link_monthly_cost[static_cast<std::size_t>(
-                         j)][static_cast<std::size_t>(r)];
+            wan += links_needed *
+                   instance.vpn_link_monthly_cost[static_cast<std::size_t>(
+                       j)][static_cast<std::size_t>(r)];
           }
         }
-        wan_cost_[index(i, j)] = total;
       } else {
-        const auto& site = instance.sites[static_cast<std::size_t>(j)];
-        wan_cost_[index(i, j)] =
-            site.wan_cost_per_megabit.unit_price(0.0) *
-            group.monthly_data_megabits;
+        wan = base_wan_price[static_cast<std::size_t>(j)] *
+              group.monthly_data_megabits;
       }
+      wan_cost_[k] = wan;
+      Money placement =
+          total_users * group.latency_penalty.penalty_per_user(avg_latency);
+      if (instance.use_vpn_links) placement += wan;
+      placement_cost_[k] = placement;
     }
   }
 }
@@ -77,6 +89,19 @@ bool CostModel::latency_violated(int group, int site) const {
 
 Money CostModel::wan_cost(int group, int site) const {
   return wan_cost_[index(group, site)];
+}
+
+Money CostModel::placement_cost(int group, int site) const {
+  return placement_cost_[index(group, site)];
+}
+
+std::span<const Money> CostModel::placement_cost_row(int group) const {
+  if (group < 0 || group >= instance_->num_groups()) {
+    throw InvalidInputError("CostModel: group index out of range");
+  }
+  const auto num_sites = static_cast<std::size_t>(instance_->num_sites());
+  return {placement_cost_.data() + static_cast<std::size_t>(group) * num_sites,
+          num_sites};
 }
 
 Money CostModel::assignment_cost(int group, int site) const {

@@ -17,6 +17,7 @@
 // economies of scale the paper optimizes for.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "model/entities.h"
@@ -29,7 +30,7 @@ namespace etransform {
 class CostModel {
  public:
   /// Validates the instance (throws InvalidInputError/InfeasibleError) and
-  /// precomputes the M x N latency and WAN matrices.
+  /// precomputes the M x N latency, WAN and placement-cost matrices.
   explicit CostModel(const ConsolidationInstance& instance);
 
   /// User-weighted average latency of group i served from site j (ms).
@@ -47,6 +48,16 @@ class CostModel {
   /// In flat mode returns D_i priced at the site's *base* WAN unit price
   /// (aggregate discounts are applied in price_plan).
   [[nodiscard]] Money wan_cost(int group, int site) const;
+
+  /// Per-placement objective term: latency penalty, plus the VPN WAN cost
+  /// in VPN mode (c = L_ij; if VPN, c += WAN_ij). Tabulated once at
+  /// construction; this table is the single source of that term for the
+  /// formulation, the heuristics and local search.
+  [[nodiscard]] Money placement_cost(int group, int site) const;
+
+  /// Group i's row of the placement-cost table (one entry per site), for
+  /// hot loops. Throws InvalidInputError if the group is out of range.
+  [[nodiscard]] std::span<const Money> placement_cost_row(int group) const;
 
   /// Placement coefficient at base (first-tier) prices:
   /// S_i*(Q_j + alpha*E_j*hours + T_j/beta) + WAN + latency penalty.
@@ -87,6 +98,8 @@ class CostModel {
   std::vector<double> avg_latency_;
   /// wan_cost_[i * num_sites + j] (VPN mode) or base-price WAN (flat mode)
   std::vector<Money> wan_cost_;
+  /// placement_cost_[i * num_sites + j]: latency penalty [+ VPN WAN]
+  std::vector<Money> placement_cost_;
 
   [[nodiscard]] std::size_t index(int group, int site) const;
 };

@@ -39,19 +39,37 @@ void validate_instance(const ConsolidationInstance& instance) {
   if (num_sites == 0) fail("no target sites");
   if (num_groups == 0) fail("no application groups");
 
+  // Cost tables are built from these numbers at model construction, so a
+  // NaN or infinity here would poison every plan priced against them.
+  const auto finite_point = [](const GeoPoint& p) {
+    return std::isfinite(p.x) && std::isfinite(p.y);
+  };
+  for (const auto& location : instance.locations) {
+    if (!finite_point(location.position)) {
+      fail("location '" + location.name + "' has a non-finite coordinate");
+    }
+  }
+  for (const auto& site : instance.sites) {
+    if (!finite_point(site.position)) {
+      fail("site '" + site.name + "' has a non-finite coordinate");
+    }
+  }
+
   for (const auto& group : instance.groups) {
     if (group.servers <= 0) {
       fail("group '" + group.name + "' has non-positive server count");
     }
-    if (group.monthly_data_megabits < 0.0) {
-      fail("group '" + group.name + "' has negative data volume");
+    if (!(group.monthly_data_megabits >= 0.0) ||
+        !std::isfinite(group.monthly_data_megabits)) {
+      fail("group '" + group.name + "' has negative or non-finite data volume");
     }
     if (static_cast<int>(group.users_per_location.size()) != num_locations) {
       fail("group '" + group.name + "' user vector does not match locations");
     }
     for (const double users : group.users_per_location) {
-      if (users < 0.0 || std::isnan(users)) {
-        fail("group '" + group.name + "' has negative user count");
+      if (!(users >= 0.0) || !std::isfinite(users)) {
+        fail("group '" + group.name +
+             "' has negative or non-finite user count");
       }
     }
     for (const int site : group.allowed_sites) {
@@ -99,7 +117,9 @@ void validate_instance(const ConsolidationInstance& instance) {
       fail("latency matrix row does not match location count");
     }
     for (const double v : row) {
-      if (v < 0.0 || std::isnan(v)) fail("negative latency entry");
+      if (!(v >= 0.0) || !std::isfinite(v)) {
+        fail("negative or non-finite latency entry");
+      }
     }
   }
 
@@ -112,7 +132,9 @@ void validate_instance(const ConsolidationInstance& instance) {
         fail("VPN cost matrix row does not match location count");
       }
       for (const double v : row) {
-        if (v < 0.0 || std::isnan(v)) fail("negative VPN link cost");
+        if (!(v >= 0.0) || !std::isfinite(v)) {
+          fail("negative or non-finite VPN link cost");
+        }
       }
     }
     if (instance.params.vpn_link_capacity_megabits <= 0.0) {

@@ -75,18 +75,14 @@ ConsolidationInstance apply_period(const ConsolidationInstance& base,
 
 void validate_horizon(const ConsolidationInstance& base,
                       const PlanningHorizon& horizon) {
-  if (horizon.is_static()) {
-    if (horizon.migration_cost_per_server < 0.0) {
-      throw InvalidInputError("horizon: negative migration cost");
-    }
-    return;
+  if (!(horizon.migration_cost_per_server >= 0.0) ||
+      !std::isfinite(horizon.migration_cost_per_server)) {
+    throw InvalidInputError("horizon: negative or non-finite migration cost");
   }
+  if (horizon.is_static()) return;
   if (static_cast<int>(horizon.periods.size()) > kMaxHorizonPeriods) {
     throw InvalidInputError("horizon: more than " +
                             std::to_string(kMaxHorizonPeriods) + " periods");
-  }
-  if (horizon.migration_cost_per_server < 0.0) {
-    throw InvalidInputError("horizon: negative migration cost");
   }
   bool any_weight = false;
   bool any_zero_weight = false;

@@ -236,7 +236,7 @@ PlannerReport EtransformPlanner::plan_exact(
       polish.max_groups_per_site = static_cast<int>(
           options_.business_impact_omega * model.instance().num_groups());
     }
-    improve_plan(model, report.plan, polish);
+    improve_plan(model, report.plan, polish, &polish_scope.stats());
   }
   if (!stopped && !report.proven_optimal) {
     const PlannerReport heuristic = plan_heuristic(model, ctx);
@@ -293,7 +293,8 @@ PlannerReport EtransformPlanner::plan_two_stage_dr(const CostModel& model,
   // Final polish may relocate primaries now that sharing is in effect.
   if (!ctx.should_stop()) {
     SolveScope polish_scope(ctx, "local_search");
-    improve_plan(model, report.plan, options_.local_search);
+    improve_plan(model, report.plan, options_.local_search,
+                 &polish_scope.stats());
   }
   if (report.plan.cost.total() > stage1.plan.cost.total()) {
     report.plan = stage1.plan;  // never return worse than stage 1
@@ -347,11 +348,6 @@ std::optional<Plan> spread_seed_plan(const CostModel& model, int piles,
   Plan plan;
   plan.algorithm = "etransform";
   plan.primary.assign(static_cast<std::size_t>(num_groups), -1);
-  const auto placement_cost = [&](int i, int j) {
-    Money c = model.latency_penalty(i, j);
-    if (instance.use_vpn_links) c += model.wan_cost(i, j);
-    return c;
-  };
   for (const int i : order) {
     const auto& group = instance.groups[static_cast<std::size_t>(i)];
     int best = -1;
@@ -373,7 +369,7 @@ std::optional<Plan> spread_seed_plan(const CostModel& model, int piles,
       }
       // Latency-sensitive groups pick the pile near their users;
       // insensitive ones balance the piles.
-      const Money penalty = placement_cost(i, j);
+      const Money penalty = model.placement_cost(i, j);
       const long long load = used[static_cast<std::size_t>(j)];
       if (best < 0 || penalty < best_penalty - 1e-9 ||
           (penalty < best_penalty + 1e-9 && load < best_load)) {
@@ -431,7 +427,7 @@ std::optional<Plan> spread_seed_plan(const CostModel& model, int piles,
           static_cast<double>(increase) *
               (params.dr_server_cost +
                per_server[static_cast<std::size_t>(b)]) +
-          placement_cost(i, b);
+          model.placement_cost(i, b);
       if (cost < best_cost) {
         best_cost = cost;
         best = b;
@@ -480,6 +476,7 @@ PlannerReport EtransformPlanner::plan_heuristic(const CostModel& model,
   }
   // Race several seeds through a light polish (first-improvement search is
   // basin-sensitive; the winner gets the full polish at the end).
+  SolveScope race_scope(ctx, "seed_race");
   LocalSearchOptions light = options_.local_search;
   light.enable_swaps = false;
   light.max_passes = std::min(light.max_passes, 8);
@@ -487,8 +484,8 @@ PlannerReport EtransformPlanner::plan_heuristic(const CostModel& model,
   light.max_groups_per_site = group_limit;
   const auto race = [&](Plan candidate) {
     candidate.algorithm = "etransform";
-    improve_plan(model, candidate, light);
-    scope.stats().add("seeds_raced", 1.0);
+    improve_plan(model, candidate, light, &race_scope.stats());
+    race_scope.stats().add("seeds_raced", 1.0);
     if (!have_plan || candidate.cost.total() < report.plan.cost.total()) {
       report.plan = std::move(candidate);
       have_plan = true;
@@ -534,13 +531,14 @@ PlannerReport EtransformPlanner::plan_heuristic(const CostModel& model,
       race(std::move(*seed));
     }
   }
+  race_scope.close();
   // Full polish (swaps included) on the winning basin.
   if (!ctx.should_stop()) {
     SolveScope polish_scope(ctx, "local_search");
     LocalSearchOptions full = options_.local_search;
     full.dedicated_backups = dedicated;
     full.max_groups_per_site = group_limit;
-    improve_plan(model, report.plan, full);
+    improve_plan(model, report.plan, full, &polish_scope.stats());
   }
   if (options_.compute_lower_bound && !options_.enable_dr &&
       !ctx.should_stop()) {

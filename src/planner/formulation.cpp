@@ -138,8 +138,7 @@ Formulation build_static(const CostModel& cost,
         f.x[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] = var;
         assign.push_back(Term{var, 1.0});
         // Per-placement objective: latency penalty + VPN WAN.
-        Money c = cost.latency_penalty(i, j);
-        if (instance.use_vpn_links) c += cost.wan_cost(i, j);
+        const Money c = cost.placement_cost(i, j);
         if (c != 0.0) objective.push_back(Term{var, c});
       }
       if (assign.empty()) {
@@ -156,6 +155,8 @@ Formulation build_static(const CostModel& cost,
       if (j < 0 || j >= num_sites) {
         throw InvalidInputError("formulation: fixed primary out of range");
       }
+      // Not placement_cost(): adding the terms one at a time is this
+      // constant's own summation order, and regrouping would change bits.
       objective_constant += cost.latency_penalty(i, j);
       if (instance.use_vpn_links) objective_constant += cost.wan_cost(i, j);
     }
@@ -199,8 +200,7 @@ Formulation build_static(const CostModel& cost,
                                          std::to_string(j));
         f.y[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] = var;
         assign.push_back(Term{var, 1.0});
-        Money c = cost.latency_penalty(i, j);
-        if (instance.use_vpn_links) c += cost.wan_cost(i, j);
+        const Money c = cost.placement_cost(i, j);
         if (c != 0.0) objective.push_back(Term{var, c});
         // Primary and secondary must differ: X_ij + Y_ij <= 1.
         const int x_var =
@@ -538,10 +538,7 @@ Formulation build_time_expanded(const CostModel& base_cost,
   // Per-placement objective coefficient of (i, j) in period t at the
   // period's demand: latency penalty plus VPN WAN.
   const auto placement_cost = [&](int t, int i, int j) {
-    const CostModel& cost = *periods[static_cast<std::size_t>(t)]->cost;
-    Money c = cost.latency_penalty(i, j);
-    if (base.use_vpn_links) c += cost.wan_cost(i, j);
-    return c;
+    return periods[static_cast<std::size_t>(t)]->cost->placement_cost(i, j);
   };
 
   Formulation f;

@@ -56,6 +56,8 @@ LagrangianBound lagrangian_lower_bound(const CostModel& model,
         continue;
       }
       feasible[idx] = true;
+      // Not placement_cost(): the latency term joins this sum before the
+      // VPN term, and regrouping would change bits.
       double c = group.servers * per_server +
                  group.monthly_data_megabits * per_megabit +
                  model.latency_penalty(i, j);

@@ -5,6 +5,7 @@
 #include <initializer_list>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "common/error.h"
@@ -36,6 +37,7 @@ class PlanState {
                    std::vector<long long>(static_cast<std::size_t>(num_sites),
                                           0));
       backups_.assign(static_cast<std::size_t>(num_sites), 0);
+      if (!dedicated_) tops_.resize(static_cast<std::size_t>(num_sites));
     }
     group_count_.assign(static_cast<std::size_t>(num_sites), 0);
     for (int i = 0; i < num_groups; ++i) {
@@ -57,9 +59,7 @@ class PlanState {
     }
     if (dr_) {
       for (int b = 0; b < num_sites; ++b) {
-        backups_[static_cast<std::size_t>(b)] = pool_requirement(b);
-        servers_[static_cast<std::size_t>(b)] +=
-            backups_[static_cast<std::size_t>(b)];
+        servers_[static_cast<std::size_t>(b)] += refresh_pool(b);
       }
     }
     // Per-group separation partner lists.
@@ -74,12 +74,6 @@ class PlanState {
       site_cost_[static_cast<std::size_t>(j)] = exact_site_cost(j);
       total_site_cost_ += site_cost_[static_cast<std::size_t>(j)];
     }
-  }
-
-  [[nodiscard]] Money placement_cost(int i, int j) const {
-    Money c = model_->latency_penalty(i, j);
-    if (instance_->use_vpn_links) c += model_->wan_cost(i, j);
-    return c;
   }
 
   /// Exact cost of site j at current aggregates (incl. backup capex share).
@@ -102,15 +96,37 @@ class PlanState {
     return c;
   }
 
-  /// Largest per-primary load backed up at site b.
-  [[nodiscard]] long long column_max(int b) const {
-    long long worst = 0;
-    for (int a = 0; a < instance_->num_sites(); ++a) {
-      worst = std::max(
-          worst,
-          load_[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)]);
+  /// The two largest entries of a backup-load column, and where the largest
+  /// sits, so the column max without one row is O(1).
+  struct ColumnTop {
+    long long first = 0;
+    int first_site = -1;
+    long long second = 0;
+
+    [[nodiscard]] long long max_without(int site) const {
+      return site == first_site ? second : first;
     }
-    return worst;
+  };
+
+  /// Top two of column b, with row `override_a` (if >= 0) read as
+  /// `override_value`.
+  [[nodiscard]] ColumnTop column_top(int b, int override_a = -1,
+                                     long long override_value = 0) const {
+    ColumnTop top;
+    for (int a = 0; a < instance_->num_sites(); ++a) {
+      const long long v =
+          a == override_a
+              ? override_value
+              : load_[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)];
+      if (v > top.first) {
+        top.second = top.first;
+        top.first = v;
+        top.first_site = a;
+      } else if (v > top.second) {
+        top.second = v;
+      }
+    }
+    return top;
   }
 
   /// Total load backed up at site b (dedicated sizing).
@@ -122,22 +138,20 @@ class PlanState {
     return total;
   }
 
-  /// Backup servers site b must provision under the active sizing law.
-  [[nodiscard]] long long pool_requirement(int b) const {
-    return dedicated_ ? column_sum(b) : column_max(b);
-  }
-
-  [[nodiscard]] long long column_max_with(int b, int override_a,
-                                          long long override_value) const {
-    long long worst = 0;
-    for (int a = 0; a < instance_->num_sites(); ++a) {
-      const long long v =
-          a == override_a
-              ? override_value
-              : load_[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)];
-      worst = std::max(worst, v);
+  /// Recomputes site b's pool under the active sizing law (shared: the
+  /// column max, also refreshing its cached top two; dedicated: the column
+  /// sum) and returns the change.
+  long long refresh_pool(int b) {
+    long long required = 0;
+    if (dedicated_) {
+      required = column_sum(b);
+    } else {
+      tops_[static_cast<std::size_t>(b)] = column_top(b);
+      required = tops_[static_cast<std::size_t>(b)].first;
     }
-    return worst;
+    const long long delta = required - backups_[static_cast<std::size_t>(b)];
+    backups_[static_cast<std::size_t>(b)] = required;
+    return delta;
   }
 
   [[nodiscard]] bool separation_blocks(int i, int target_site) const {
@@ -149,73 +163,89 @@ class PlanState {
     return false;
   }
 
-  /// Delta of moving group i's primary to a2; +inf if infeasible.
-  [[nodiscard]] Money primary_move_delta(int i, int a2) const {
+  [[nodiscard]] long long capacity(int j) const {
+    return instance_->sites[static_cast<std::size_t>(j)].capacity_servers;
+  }
+
+  /// The feasible primary relocation of group i that saves more than
+  /// `min_gain` and the most of all, or -1. Candidates are scanned in site
+  /// order; ties keep the first. Each candidate's delta is evaluated as
+  ///   P(i,a2) - P(i,a); += leave(a); += enter(a2); [+= pool growth at b]
+  /// where leave(a) does not depend on a2 and is priced once, at the first
+  /// candidate that passes the feasibility checks.
+  [[nodiscard]] int best_primary_move(int i, Money min_gain) const {
     const auto& group = instance_->groups[static_cast<std::size_t>(i)];
+    if (group.pinned_site >= 0) return -1;
     const int a = primary_[static_cast<std::size_t>(i)];
-    if (a2 == a) return 0.0;
-    if (group.pinned_site >= 0) return kInfeasible;
-    if (!group_allowed_at(group, a2)) return kInfeasible;
-    if (separation_blocks(i, a2)) return kInfeasible;
-    if (group_limit_ > 0 &&
-        group_count_[static_cast<std::size_t>(a2)] + 1 > group_limit_) {
-      return kInfeasible;
-    }
     const long long s = group.servers;
     const double d = instance_->use_vpn_links ? 0.0
                                               : group.monthly_data_megabits;
     const int b = dr_ ? secondary_[static_cast<std::size_t>(i)] : -1;
-    if (dr_ && a2 == b) return kInfeasible;  // primary == secondary
-
-    long long backup_delta_b = 0;
-    if (dr_ && !dedicated_) {
-      // Dedicated pools are invariant under primary moves (the column sum
-      // does not change); shared pools track the column max.
-      const long long new_load_a =
-          load_[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)] - s;
-      const long long new_load_a2 =
-          load_[static_cast<std::size_t>(a2)][static_cast<std::size_t>(b)] + s;
-      long long new_g = 0;
-      for (int site = 0; site < instance_->num_sites(); ++site) {
-        long long v =
-            load_[static_cast<std::size_t>(site)][static_cast<std::size_t>(b)];
-        if (site == a) v = new_load_a;
-        if (site == a2) v = new_load_a2;
-        new_g = std::max(new_g, v);
+    const std::span<const Money> placement = model_->placement_cost_row(i);
+    const Money placement_here = placement[static_cast<std::size_t>(a)];
+    // Shared pools track the column max of b with a's load already reduced;
+    // dedicated pools are invariant under primary moves (the column sum
+    // does not change).
+    const bool shared = dr_ && !dedicated_;
+    const ColumnTop column =
+        shared ? column_top(b, a,
+                            load_[static_cast<std::size_t>(a)][
+                                static_cast<std::size_t>(b)] -
+                                s)
+               : ColumnTop{};
+    bool have_leave = false;
+    Money leave = 0.0;
+    int best_site = -1;
+    Money best_delta = -min_gain;
+    for (int a2 = 0; a2 < instance_->num_sites(); ++a2) {
+      if (a2 == a || !group_allowed_at(group, a2)) continue;
+      if (separation_blocks(i, a2)) continue;
+      if (group_limit_ > 0 &&
+          group_count_[static_cast<std::size_t>(a2)] + 1 > group_limit_) {
+        continue;
       }
-      backup_delta_b = new_g - backups_[static_cast<std::size_t>(b)];
+      if (dr_ && a2 == b) continue;  // primary == secondary
+      long long backup_delta_b = 0;
+      if (shared) {
+        const long long new_g = std::max(
+            load_[static_cast<std::size_t>(a2)][static_cast<std::size_t>(b)] +
+                s,
+            column.max_without(a2));
+        backup_delta_b = new_g - backups_[static_cast<std::size_t>(b)];
+      }
+      // Capacity checks (b may gain backup servers).
+      if (servers_[static_cast<std::size_t>(a2)] + s > capacity(a2)) continue;
+      if (backup_delta_b > 0 &&
+          servers_[static_cast<std::size_t>(b)] + backup_delta_b >
+              capacity(b)) {
+        continue;
+      }
+      if (!have_leave) {
+        leave = site_cost_if(a, servers_[static_cast<std::size_t>(a)] - s,
+                             data_[static_cast<std::size_t>(a)] - d,
+                             dr_ ? backups_[static_cast<std::size_t>(a)] : 0) -
+                site_cost_[static_cast<std::size_t>(a)];
+        have_leave = true;
+      }
+      Money delta = placement[static_cast<std::size_t>(a2)] - placement_here;
+      delta += leave;
+      delta += site_cost_if(a2, servers_[static_cast<std::size_t>(a2)] + s,
+                            data_[static_cast<std::size_t>(a2)] + d,
+                            dr_ ? backups_[static_cast<std::size_t>(a2)] : 0) -
+               site_cost_[static_cast<std::size_t>(a2)];
+      if (backup_delta_b != 0) {
+        delta += site_cost_if(
+                     b, servers_[static_cast<std::size_t>(b)] + backup_delta_b,
+                     data_[static_cast<std::size_t>(b)],
+                     backups_[static_cast<std::size_t>(b)] + backup_delta_b) -
+                 site_cost_[static_cast<std::size_t>(b)];
+      }
+      if (delta < best_delta) {
+        best_delta = delta;
+        best_site = a2;
+      }
     }
-
-    // Capacity checks (b may gain backup servers).
-    const auto cap = [&](int j) {
-      return static_cast<long long>(
-          instance_->sites[static_cast<std::size_t>(j)].capacity_servers);
-    };
-    if (servers_[static_cast<std::size_t>(a2)] + s > cap(a2)) {
-      return kInfeasible;
-    }
-    if (dr_ && backup_delta_b > 0 &&
-        servers_[static_cast<std::size_t>(b)] + backup_delta_b > cap(b)) {
-      return kInfeasible;
-    }
-
-    Money delta = placement_cost(i, a2) - placement_cost(i, a);
-    delta += site_cost_if(a, servers_[static_cast<std::size_t>(a)] - s,
-                          data_[static_cast<std::size_t>(a)] - d,
-                          dr_ ? backups_[static_cast<std::size_t>(a)] : 0) -
-             site_cost_[static_cast<std::size_t>(a)];
-    delta += site_cost_if(a2, servers_[static_cast<std::size_t>(a2)] + s,
-                          data_[static_cast<std::size_t>(a2)] + d,
-                          dr_ ? backups_[static_cast<std::size_t>(a2)] : 0) -
-             site_cost_[static_cast<std::size_t>(a2)];
-    if (dr_ && backup_delta_b != 0) {
-      delta += site_cost_if(
-                   b, servers_[static_cast<std::size_t>(b)] + backup_delta_b,
-                   data_[static_cast<std::size_t>(b)],
-                   backups_[static_cast<std::size_t>(b)] + backup_delta_b) -
-               site_cost_[static_cast<std::size_t>(b)];
-    }
-    return delta;
+    return best_site;
   }
 
   void commit_primary_move(int i, int a2) {
@@ -234,64 +264,71 @@ class PlanState {
       const int b = secondary_[static_cast<std::size_t>(i)];
       load_[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)] -= s;
       load_[static_cast<std::size_t>(a2)][static_cast<std::size_t>(b)] += s;
-      const long long new_g = pool_requirement(b);
-      const long long delta_g = new_g - backups_[static_cast<std::size_t>(b)];
-      backups_[static_cast<std::size_t>(b)] = new_g;
-      servers_[static_cast<std::size_t>(b)] += delta_g;
+      servers_[static_cast<std::size_t>(b)] += refresh_pool(b);
     }
     primary_[static_cast<std::size_t>(i)] = a2;
     refresh_sites({a, a2, dr_ ? secondary_[static_cast<std::size_t>(i)] : -1});
   }
 
-  /// Delta of moving group i's secondary to b2; +inf if infeasible.
-  [[nodiscard]] Money secondary_move_delta(int i, int b2) const {
+  /// The feasible secondary relocation of group i that saves more than
+  /// `min_gain` and the most of all, or -1, in the same scan order and
+  /// evaluation order as best_primary_move: the leave-b term is priced once.
+  [[nodiscard]] int best_secondary_move(int i, Money min_gain) const {
     const auto& group = instance_->groups[static_cast<std::size_t>(i)];
     const int a = primary_[static_cast<std::size_t>(i)];
     const int b = secondary_[static_cast<std::size_t>(i)];
-    if (b2 == b || b2 == a) return kInfeasible;
-    // Allowed-sites rules bind the secondary (not pins).
-    if (!group.allowed_sites.empty() &&
-        std::find(group.allowed_sites.begin(), group.allowed_sites.end(),
-                  b2) == group.allowed_sites.end()) {
-      return kInfeasible;
-    }
     const long long s = group.servers;
     const double d = instance_->use_vpn_links ? 0.0
                                               : group.monthly_data_megabits;
-    const long long new_g_b =
-        dedicated_ ? backups_[static_cast<std::size_t>(b)] - s
-                   : column_max_with(
-                         b, a,
-                         load_[static_cast<std::size_t>(a)][
-                             static_cast<std::size_t>(b)] -
-                             s);
-    const long long new_g_b2 =
-        dedicated_ ? backups_[static_cast<std::size_t>(b2)] + s
-                   : column_max_with(
-                         b2, a,
-                         load_[static_cast<std::size_t>(a)][
-                             static_cast<std::size_t>(b2)] +
-                             s);
-    const long long delta_b = new_g_b - backups_[static_cast<std::size_t>(b)];
-    const long long delta_b2 =
-        new_g_b2 - backups_[static_cast<std::size_t>(b2)];
-    const auto cap = static_cast<long long>(
-        instance_->sites[static_cast<std::size_t>(b2)].capacity_servers);
-    if (servers_[static_cast<std::size_t>(b2)] + delta_b2 > cap) {
-      return kInfeasible;
+    const std::span<const Money> placement = model_->placement_cost_row(i);
+    const Money placement_here = placement[static_cast<std::size_t>(b)];
+    const auto& load_a = load_[static_cast<std::size_t>(a)];
+    // Pool of `site` once a's load backed up there changes by `change`.
+    const auto new_pool = [&](int site, long long change) {
+      const auto j = static_cast<std::size_t>(site);
+      return dedicated_ ? backups_[j] + change
+                        : std::max(load_a[j] + change,
+                                   tops_[j].max_without(a));
+    };
+    const long long delta_b =
+        new_pool(b, -s) - backups_[static_cast<std::size_t>(b)];
+    bool have_leave = false;
+    Money leave = 0.0;
+    int best_site = -1;
+    Money best_delta = -min_gain;
+    for (int b2 = 0; b2 < instance_->num_sites(); ++b2) {
+      if (b2 == b || b2 == a) continue;
+      // Allowed-sites rules bind the secondary (not pins).
+      if (!group.allowed_sites.empty() &&
+          std::find(group.allowed_sites.begin(), group.allowed_sites.end(),
+                    b2) == group.allowed_sites.end()) {
+        continue;
+      }
+      const long long delta_b2 =
+          new_pool(b2, s) - backups_[static_cast<std::size_t>(b2)];
+      if (servers_[static_cast<std::size_t>(b2)] + delta_b2 > capacity(b2)) {
+        continue;
+      }
+      if (!have_leave) {
+        leave = site_cost_if(b, servers_[static_cast<std::size_t>(b)] + delta_b,
+                             data_[static_cast<std::size_t>(b)] - d,
+                             backups_[static_cast<std::size_t>(b)] + delta_b) -
+                site_cost_[static_cast<std::size_t>(b)];
+        have_leave = true;
+      }
+      Money delta = placement[static_cast<std::size_t>(b2)] - placement_here;
+      delta += leave;
+      delta += site_cost_if(b2,
+                            servers_[static_cast<std::size_t>(b2)] + delta_b2,
+                            data_[static_cast<std::size_t>(b2)] + d,
+                            backups_[static_cast<std::size_t>(b2)] + delta_b2) -
+               site_cost_[static_cast<std::size_t>(b2)];
+      if (delta < best_delta) {
+        best_delta = delta;
+        best_site = b2;
+      }
     }
-
-    Money delta = placement_cost(i, b2) - placement_cost(i, b);
-    delta += site_cost_if(b, servers_[static_cast<std::size_t>(b)] + delta_b,
-                          data_[static_cast<std::size_t>(b)] - d,
-                          backups_[static_cast<std::size_t>(b)] + delta_b) -
-             site_cost_[static_cast<std::size_t>(b)];
-    delta +=
-        site_cost_if(b2, servers_[static_cast<std::size_t>(b2)] + delta_b2,
-                     data_[static_cast<std::size_t>(b2)] + d,
-                     backups_[static_cast<std::size_t>(b2)] + delta_b2) -
-        site_cost_[static_cast<std::size_t>(b2)];
-    return delta;
+    return best_site;
   }
 
   void commit_secondary_move(int i, int b2) {
@@ -304,11 +341,7 @@ class PlanState {
     load_[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)] -= s;
     load_[static_cast<std::size_t>(a)][static_cast<std::size_t>(b2)] += s;
     for (const int site : {b, b2}) {
-      const long long new_g = pool_requirement(site);
-      const long long delta_g =
-          new_g - backups_[static_cast<std::size_t>(site)];
-      backups_[static_cast<std::size_t>(site)] = new_g;
-      servers_[static_cast<std::size_t>(site)] += delta_g;
+      servers_[static_cast<std::size_t>(site)] += refresh_pool(site);
     }
     data_[static_cast<std::size_t>(b)] -= d;
     data_[static_cast<std::size_t>(b2)] += d;
@@ -344,8 +377,12 @@ class PlanState {
     if (servers_[static_cast<std::size_t>(c)] - sk + si > cap(c)) {
       return kInfeasible;
     }
-    Money delta = placement_cost(i, c) - placement_cost(i, a) +
-                  placement_cost(k, a) - placement_cost(k, c);
+    const std::span<const Money> pi = model_->placement_cost_row(i);
+    const std::span<const Money> pk = model_->placement_cost_row(k);
+    Money delta = pi[static_cast<std::size_t>(c)] -
+                  pi[static_cast<std::size_t>(a)] +
+                  pk[static_cast<std::size_t>(a)] -
+                  pk[static_cast<std::size_t>(c)];
     delta += site_cost_if(a, servers_[static_cast<std::size_t>(a)] - si + sk,
                           data_[static_cast<std::size_t>(a)] - di + dk, 0) -
              site_cost_[static_cast<std::size_t>(a)];
@@ -411,6 +448,7 @@ class PlanState {
   std::vector<int> group_count_;  // primaries per site (omega cap)
   std::vector<std::vector<long long>> load_;  // [primary][secondary] servers
   std::vector<long long> backups_;  // G_j: column max (shared) / sum (dedicated)
+  std::vector<ColumnTop> tops_;     // shared sizing: top two of each column
   std::vector<std::vector<int>> partners_;    // separation partners per group
   std::vector<Money> site_cost_;
   Money total_site_cost_ = 0.0;
@@ -419,10 +457,8 @@ class PlanState {
 }  // namespace
 
 bool improve_plan(const CostModel& model, Plan& plan,
-                  const LocalSearchOptions& options) {
-  const auto& instance = model.instance();
-  const int num_groups = instance.num_groups();
-  const int num_sites = instance.num_sites();
+                  const LocalSearchOptions& options, SolveStats* stats) {
+  const int num_groups = model.instance().num_groups();
   if (static_cast<int>(plan.primary.size()) != num_groups) {
     throw InvalidInputError("improve_plan: plan does not match instance");
   }
@@ -434,38 +470,24 @@ bool improve_plan(const CostModel& model, Plan& plan,
 
   bool improved_any = false;
   constexpr Money kMinGain = 1e-7;
+  long long passes = 0;
+  long long moves = 0;
   for (int pass = 0; pass < options.max_passes; ++pass) {
+    ++passes;
     bool improved_this_pass = false;
     rng.shuffle(order);
     for (const int i : order) {
-      // Primary relocation.
-      int best_site = -1;
-      Money best_delta = -kMinGain;
-      for (int j = 0; j < num_sites; ++j) {
-        if (j == state.primary_of(i)) continue;
-        const Money delta = state.primary_move_delta(i, j);
-        if (delta < best_delta) {
-          best_delta = delta;
-          best_site = j;
-        }
-      }
+      const int best_site = state.best_primary_move(i, kMinGain);
       if (best_site >= 0) {
         state.commit_primary_move(i, best_site);
+        ++moves;
         improved_this_pass = true;
       }
-      // Secondary relocation.
       if (state.has_dr()) {
-        int best_backup = -1;
-        Money best_backup_delta = -kMinGain;
-        for (int j = 0; j < num_sites; ++j) {
-          const Money delta = state.secondary_move_delta(i, j);
-          if (delta < best_backup_delta) {
-            best_backup_delta = delta;
-            best_backup = j;
-          }
-        }
+        const int best_backup = state.best_secondary_move(i, kMinGain);
         if (best_backup >= 0) {
           state.commit_secondary_move(i, best_backup);
+          ++moves;
           improved_this_pass = true;
         }
       }
@@ -478,6 +500,7 @@ bool improve_plan(const CostModel& model, Plan& plan,
           const Money delta = state.swap_delta(i, k);
           if (delta < -kMinGain) {
             state.commit_swap(i, k);
+            ++moves;
             improved_this_pass = true;
           }
         }
@@ -485,6 +508,10 @@ bool improve_plan(const CostModel& model, Plan& plan,
     }
     if (!improved_this_pass) break;
     improved_any = true;
+  }
+  if (stats != nullptr) {
+    stats->add("passes", static_cast<double>(passes));
+    stats->add("moves_committed", static_cast<double>(moves));
   }
   if (improved_any) {
     state.export_to(plan);

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 
+#include "common/solve_context.h"
 #include "cost/cost_model.h"
 #include "model/plan.h"
 
@@ -40,7 +41,10 @@ struct LocalSearchOptions {
 /// Improves `plan` in place. The plan must be structurally feasible
 /// (check_plan empty) before the call; feasibility is preserved. Repricing
 /// (price_plan) runs on exit. Returns true if the total cost improved.
+/// When `stats` is given, adds the passes run ("passes") and the moves
+/// applied ("moves_committed") to it; both are deterministic.
 bool improve_plan(const CostModel& model, Plan& plan,
-                  const LocalSearchOptions& options = {});
+                  const LocalSearchOptions& options = {},
+                  SolveStats* stats = nullptr);
 
 }  // namespace etransform

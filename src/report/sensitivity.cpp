@@ -54,11 +54,6 @@ SensitivityReport analyze_sensitivity_impl(const CostModel& model,
   }
 
   SensitivityReport report;
-  const auto placement_extra = [&](int i, int j) {
-    Money c = model.latency_penalty(i, j);
-    if (instance.use_vpn_links) c += model.wan_cost(i, j);
-    return c;
-  };
   const auto allowed_at = [&](const ApplicationGroup& group, int j) {
     if (group.pinned_site >= 0) return j == group.pinned_site;
     if (group.allowed_sites.empty()) return true;
@@ -81,7 +76,7 @@ SensitivityReport analyze_sensitivity_impl(const CostModel& model,
             .site_cost(a, servers[static_cast<std::size_t>(a)] - group.servers,
                        data[static_cast<std::size_t>(a)] - d)
             .total() +
-        placement_extra(i, a);
+        model.placement_cost(i, a);
 
     GroupSensitivity sensitivity;
     sensitivity.group = i;
@@ -106,7 +101,7 @@ SensitivityReport analyze_sensitivity_impl(const CostModel& model,
               .site_cost(j, servers[static_cast<std::size_t>(j)],
                          data[static_cast<std::size_t>(j)])
               .total() +
-          placement_extra(i, j);
+          model.placement_cost(i, j);
       if (at_j < best_alternative) {
         best_alternative = at_j;
         sensitivity.runner_up_site = j;

@@ -2,8 +2,12 @@
 // pricing, VPN-link WAN, DR pricing, as-is pricing, marginal costs.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "common/error.h"
 #include "cost/cost_model.h"
+#include "datagen/generators.h"
 
 namespace etransform {
 namespace {
@@ -206,6 +210,50 @@ TEST(CostModel, IndexChecksThrow) {
   const CostModel model(instance);
   EXPECT_THROW((void)model.average_latency(-1, 0), InvalidInputError);
   EXPECT_THROW((void)model.latency_penalty(0, 2), InvalidInputError);
+  EXPECT_THROW((void)model.placement_cost(0, 2), InvalidInputError);
+  EXPECT_THROW((void)model.placement_cost(-1, 0), InvalidInputError);
+  EXPECT_THROW((void)model.placement_cost(2, 0), InvalidInputError);
+  EXPECT_THROW((void)model.placement_cost_row(-1), InvalidInputError);
+  EXPECT_THROW((void)model.placement_cost_row(2), InvalidInputError);
+}
+
+TEST(CostModel, PlacementCostTableIsLatencyPlusVpnWanToTheBit) {
+  auto instance = make_enterprise1();
+  for (const bool vpn : {false, true}) {
+    if (vpn) {
+      // Distance-priced dedicated links, so every (group, site) pays a
+      // different VPN term.
+      instance.use_vpn_links = true;
+      instance.vpn_link_monthly_cost.clear();
+      for (const auto& site : instance.sites) {
+        std::vector<Money> row;
+        for (const auto& location : instance.locations) {
+          row.push_back(25.0 + 0.37 * distance(site.position,
+                                               location.position));
+        }
+        instance.vpn_link_monthly_cost.push_back(row);
+      }
+    }
+    const CostModel model(instance);
+    int penalized = 0;
+    for (int i = 0; i < instance.num_groups(); ++i) {
+      const auto row = model.placement_cost_row(i);
+      ASSERT_EQ(row.size(), static_cast<std::size_t>(instance.num_sites()));
+      for (int j = 0; j < instance.num_sites(); ++j) {
+        Money expected = model.latency_penalty(i, j);
+        if (vpn) expected += model.wan_cost(i, j);
+        penalized += model.latency_penalty(i, j) > 0.0 ? 1 : 0;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(model.placement_cost(i, j)),
+                  std::bit_cast<std::uint64_t>(expected))
+            << "vpn=" << vpn << " i=" << i << " j=" << j;
+        const Money from_row = row[static_cast<std::size_t>(j)];
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(from_row),
+                  std::bit_cast<std::uint64_t>(expected));
+      }
+    }
+    EXPECT_GT(penalized, 0);  // the latency term is exercised
+    EXPECT_GT(model.wan_cost(0, 0), 0.0);
+  }
 }
 
 }  // namespace

@@ -167,7 +167,9 @@ TEST(InstanceIo, RejectsMalformedFiles) {
 
 TEST(InstanceIo, NumberSpellingsKeepTheirOutcome) {
   // Each spelling as a location coordinate; the expected bits (nullopt =
-  // "bad number") are what the std::stod-based parser read.
+  // "bad number") are what the std::stod-based parser read. Spellings that
+  // read as NaN or infinity still parse, and instance validation then
+  // rejects the non-finite coordinate.
   const std::pair<const char*, std::optional<std::uint64_t>> cases[] = {
       {"5", 0x4014000000000000},
       {"-5", 0xc014000000000000},
@@ -195,9 +197,11 @@ TEST(InstanceIo, NumberSpellingsKeepTheirOutcome) {
         " 0\nsite s 0 0 10\nsite.space s inf 1\nsite.power s inf 1\n"
         "site.labor s inf 1\nsite.wan s inf 1\nsite.latency s 1\n"
         "group g 1 0 1\nend\n";
+    const bool finite =
+        bits.has_value() && std::isfinite(std::bit_cast<double>(*bits));
     try {
       const ConsolidationInstance instance = parse_instance(text);
-      ASSERT_TRUE(bits.has_value()) << spelling << " should be rejected";
+      ASSERT_TRUE(finite) << spelling << " should be rejected";
       EXPECT_EQ(std::bit_cast<std::uint64_t>(instance.locations[0].position.x),
                 *bits)
           << spelling;
@@ -206,6 +210,41 @@ TEST(InstanceIo, NumberSpellingsKeepTheirOutcome) {
       EXPECT_NE(std::string(e.what()).find("line 2: bad number"),
                 std::string::npos)
           << e.what();
+    } catch (const InvalidInputError& e) {
+      EXPECT_TRUE(bits.has_value() && !finite) << spelling << ": " << e.what();
+      EXPECT_NE(std::string(e.what()).find("non-finite coordinate"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(InstanceIo, NonFiniteNumbersParseButFailValidation) {
+  // One .etf file with a placeholder per validated number. The finite
+  // spelling round-trips; NaN or an infinity in any one field reads as a
+  // number and is then rejected by validation, never silently priced.
+  const auto etf = [](const std::string& field, const std::string& value) {
+    const auto at = [&](const char* name, const char* fine) {
+      return field == name ? value : std::string(fine);
+    };
+    return "etransform-instance v1\nlocation l " + at("location", "3") +
+           " 0\nsite s " + at("site", "4") +
+           " 0 10\nsite.space s inf 1\nsite.power s inf 1\n"
+           "site.labor s inf 1\nsite.wan s inf 1\nsite.latency s " +
+           at("latency", "5") + "\nsite.vpn s " + at("vpn", "40") +
+           "\ngroup g 1 " + at("data", "1e6") + " " + at("users", "7") +
+           "\nend\n";
+  };
+  const ConsolidationInstance fine = parse_instance(etf("", ""));
+  EXPECT_TRUE(fine.use_vpn_links);
+  EXPECT_EQ(write_instance(parse_instance(write_instance(fine))),
+            write_instance(fine));
+  for (const char* field :
+       {"location", "site", "latency", "vpn", "data", "users"}) {
+    for (const char* spelling : {"nan", "inf", "-inf", "infinity"}) {
+      EXPECT_THROW((void)parse_instance(etf(field, spelling)),
+                   InvalidInputError)
+          << field << " = " << spelling;
     }
   }
 }

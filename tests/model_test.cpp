@@ -177,6 +177,67 @@ TEST(ValidateInstance, RejectsShapeErrors) {
   }
 }
 
+// NaN and both infinities, each of which must fail validation.
+const double kNonFinite[] = {std::numeric_limits<double>::quiet_NaN(), kInf,
+                             -kInf};
+
+/// Sets one number of a valid instance to each non-finite value in turn and
+/// expects validation to reject it.
+template <typename Mutate>
+void expect_non_finite_rejected(ConsolidationInstance base, Mutate mutate) {
+  ASSERT_NO_THROW(validate_instance(base));
+  for (const double bad : kNonFinite) {
+    auto instance = base;
+    mutate(instance, bad);
+    EXPECT_THROW(validate_instance(instance), InvalidInputError) << bad;
+  }
+}
+
+TEST(ValidateInstance, RejectsNonFiniteLocationCoordinate) {
+  expect_non_finite_rejected(tiny_instance(), [](auto& in, double v) {
+    in.locations[1].position.x = v;
+  });
+  expect_non_finite_rejected(tiny_instance(), [](auto& in, double v) {
+    in.locations[0].position.y = v;
+  });
+}
+
+TEST(ValidateInstance, RejectsNonFiniteSiteCoordinate) {
+  expect_non_finite_rejected(tiny_instance(), [](auto& in, double v) {
+    in.sites[0].position.x = v;
+  });
+  expect_non_finite_rejected(tiny_instance(), [](auto& in, double v) {
+    in.sites[1].position.y = v;
+  });
+}
+
+TEST(ValidateInstance, RejectsNonFiniteDataVolume) {
+  expect_non_finite_rejected(tiny_instance(), [](auto& in, double v) {
+    in.groups[2].monthly_data_megabits = v;
+  });
+}
+
+TEST(ValidateInstance, RejectsNonFiniteUserCount) {
+  expect_non_finite_rejected(tiny_instance(), [](auto& in, double v) {
+    in.groups[1].users_per_location[1] = v;
+  });
+}
+
+TEST(ValidateInstance, RejectsNonFiniteLatency) {
+  expect_non_finite_rejected(tiny_instance(), [](auto& in, double v) {
+    in.latency_ms[1][0] = v;
+  });
+}
+
+TEST(ValidateInstance, RejectsNonFiniteVpnLinkCost) {
+  auto vpn = tiny_instance();
+  vpn.use_vpn_links = true;
+  vpn.vpn_link_monthly_cost = {{40.0, 60.0}, {50.0, 30.0}};
+  expect_non_finite_rejected(vpn, [](auto& in, double v) {
+    in.vpn_link_monthly_cost[0][1] = v;
+  });
+}
+
 TEST(ValidateInstance, RejectsCapacityShortfall) {
   auto instance = tiny_instance();
   for (auto& site : instance.sites) site.capacity_servers = 2;

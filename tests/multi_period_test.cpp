@@ -355,6 +355,41 @@ TEST(MultiPeriod, HorizonFileRoundTrips) {
   EXPECT_EQ(horizon_fingerprint(parsed), horizon_fingerprint(horizon));
 }
 
+TEST(MultiPeriod, RejectsNonFiniteMigrationCost) {
+  const auto instance = make_rightsizing_estate({});
+  TrafficCurveSpec spec;
+  spec.num_periods = 2;
+  spec.migration_cost_per_server = 2.5;
+  spec.num_groups = instance.num_groups();
+  const PlanningHorizon curve = make_traffic_curve(spec);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), inf,
+                           -inf}) {
+    PlanningHorizon horizon = curve;
+    horizon.migration_cost_per_server = bad;
+    EXPECT_THROW(validate_horizon(instance, horizon), InvalidInputError)
+        << bad;
+    PlanningHorizon single;  // static horizons check it too
+    single.migration_cost_per_server = bad;
+    EXPECT_THROW(validate_horizon(instance, single), InvalidInputError)
+        << bad;
+  }
+  // Through the horizon file: the finite text round-trips, and a NaN or
+  // infinite migration cost parses as a number but fails validation.
+  const std::string text = write_horizon(curve, instance);
+  EXPECT_EQ(write_horizon(parse_horizon(text, instance), instance), text);
+  const std::string field = "migration_cost 2.5\n";
+  const auto at = text.find(field);
+  ASSERT_NE(at, std::string::npos) << text;
+  for (const char* spelling : {"nan", "inf", "-inf"}) {
+    std::string bad = text;
+    bad.replace(at, field.size(),
+                "migration_cost " + std::string(spelling) + "\n");
+    EXPECT_THROW((void)parse_horizon(bad, instance), InvalidInputError)
+        << spelling;
+  }
+}
+
 TEST(MultiPeriod, HorizonFingerprintSpellsEveryNumberExactly) {
   EXPECT_EQ(horizon_fingerprint(PlanningHorizon{}), "");
   PlanningHorizon base = PlanningHorizon::uniform(2, 1.0);
