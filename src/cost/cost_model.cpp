@@ -28,10 +28,9 @@ CostModel::CostModel(const ConsolidationInstance& instance)
     const double total_users = group.total_users();
     for (int j = 0; j < num_sites; ++j) {
       const std::size_t k = index(i, j);
-      const double avg_latency = weighted_average_latency(
+      avg_latency_[k] = weighted_average_latency(
           instance.latency_ms[static_cast<std::size_t>(j)],
           group.users_per_location);
-      avg_latency_[k] = avg_latency;
       Money wan = 0.0;
       if (instance.use_vpn_links) {
         // Dedicated links: links to location r carry the user-proportional
@@ -54,8 +53,7 @@ CostModel::CostModel(const ConsolidationInstance& instance)
               group.monthly_data_megabits;
       }
       wan_cost_[k] = wan;
-      Money placement =
-          total_users * group.latency_penalty.penalty_per_user(avg_latency);
+      Money placement = latency_penalty(i, j);
       if (instance.use_vpn_links) placement += wan;
       placement_cost_[k] = placement;
     }

@@ -37,7 +37,6 @@ class PlanState {
                    std::vector<long long>(static_cast<std::size_t>(num_sites),
                                           0));
       backups_.assign(static_cast<std::size_t>(num_sites), 0);
-      if (!dedicated_) tops_.resize(static_cast<std::size_t>(num_sites));
     }
     group_count_.assign(static_cast<std::size_t>(num_sites), 0);
     for (int i = 0; i < num_groups; ++i) {
@@ -139,16 +138,10 @@ class PlanState {
   }
 
   /// Recomputes site b's pool under the active sizing law (shared: the
-  /// column max, also refreshing its cached top two; dedicated: the column
-  /// sum) and returns the change.
+  /// column max; dedicated: the column sum) and returns the change.
   long long refresh_pool(int b) {
-    long long required = 0;
-    if (dedicated_) {
-      required = column_sum(b);
-    } else {
-      tops_[static_cast<std::size_t>(b)] = column_top(b);
-      required = tops_[static_cast<std::size_t>(b)].first;
-    }
+    const long long required =
+        dedicated_ ? column_sum(b) : column_top(b).first;
     const long long delta = required - backups_[static_cast<std::size_t>(b)];
     backups_[static_cast<std::size_t>(b)] = required;
     return delta;
@@ -287,8 +280,7 @@ class PlanState {
     const auto new_pool = [&](int site, long long change) {
       const auto j = static_cast<std::size_t>(site);
       return dedicated_ ? backups_[j] + change
-                        : std::max(load_a[j] + change,
-                                   tops_[j].max_without(a));
+                        : column_top(site, a, load_a[j] + change).first;
     };
     const long long delta_b =
         new_pool(b, -s) - backups_[static_cast<std::size_t>(b)];
@@ -367,14 +359,10 @@ class PlanState {
         instance_->use_vpn_links ? 0.0 : gi.monthly_data_megabits;
     const double dk =
         instance_->use_vpn_links ? 0.0 : gk.monthly_data_megabits;
-    const auto cap = [&](int j) {
-      return static_cast<long long>(
-          instance_->sites[static_cast<std::size_t>(j)].capacity_servers);
-    };
-    if (servers_[static_cast<std::size_t>(a)] - si + sk > cap(a)) {
+    if (servers_[static_cast<std::size_t>(a)] - si + sk > capacity(a)) {
       return kInfeasible;
     }
-    if (servers_[static_cast<std::size_t>(c)] - sk + si > cap(c)) {
+    if (servers_[static_cast<std::size_t>(c)] - sk + si > capacity(c)) {
       return kInfeasible;
     }
     const std::span<const Money> pi = model_->placement_cost_row(i);
@@ -448,7 +436,6 @@ class PlanState {
   std::vector<int> group_count_;  // primaries per site (omega cap)
   std::vector<std::vector<long long>> load_;  // [primary][secondary] servers
   std::vector<long long> backups_;  // G_j: column max (shared) / sum (dedicated)
-  std::vector<ColumnTop> tops_;     // shared sizing: top two of each column
   std::vector<std::vector<int>> partners_;    // separation partners per group
   std::vector<Money> site_cost_;
   Money total_site_cost_ = 0.0;
