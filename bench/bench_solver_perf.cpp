@@ -195,14 +195,13 @@ BENCHMARK(BM_BranchAndBoundAssignment)
     ->ArgNames({"tasks", "warm", "cuts", "dual"});
 
 // Thread scaling of the parallel tree search on the production
-// configuration (warm starts, cuts, dual reoptimization), in deterministic
-// mode: the explored tree is byte-identical at every thread count, so the
+// configuration (warm starts, cuts, dual reoptimization), at the 8-node
+// search width (`deterministic`), which keeps up to eight node LPs in
+// flight: the explored tree is byte-identical at every thread count, so the
 // real_time ratio between threads:1 and threads:8 is a pure measure of
 // parallel LP throughput — exactly what the CI speedup fence in
-// cmake/check_bench_regression.cmake wants. (The free-running mode is
-// faster on average but its tree shape is timing-dependent, which would
-// make a wall-clock fence flaky.) The objective is still cross-checked
-// against the classic sequential optimum.
+// cmake/check_bench_regression.cmake wants. The objective is still
+// cross-checked against the one-node-per-step optimum.
 void BM_BranchAndBoundAssignmentThreads(benchmark::State& state) {
   const auto model = assignment_milp(static_cast<int>(state.range(0)), 4);
   milp::SolverOptions options;

@@ -26,11 +26,12 @@
 //   Concurrency (SolveFarm):
 //       --jobs N           solve on N worker threads: scenario sweeps and
 //                          the sensitivity scan fan out across a SolveService
-//       --threads N        in-solve parallelism: shard each exact solve's
-//                          branch-and-bound frontier over N tree-search
-//                          workers (composes with --jobs; 0 = hardware)
-//       --deterministic    fixed-epoch parallel search whose explored tree
-//                          is identical at every --threads value
+//       --threads N        in-solve parallelism: run each exact solve's
+//                          node LPs and strong-branching probes on N pool
+//                          threads (composes with --jobs; 0 = hardware);
+//                          the explored tree is identical at every value
+//       --deterministic    pop 8 nodes per search step instead of 1, so up
+//                          to 8 node LPs run at once
 //       --sweep key=v1,v2  run a what-if sweep instead of a single plan; keys
 //                          are omega, dr-cost, latency-penalty, cuts
 //                          (races the four cut configurations) and horizon
@@ -112,11 +113,13 @@ int usage() {
       "  dual simplex on dual-feasible warm restarts — node re-solves and\n"
       "  cut rounds — primal otherwise; primal/dual force one algorithm).\n"
       "  --jobs runs N *solves* concurrently (SolveFarm: sweeps, races, the\n"
-      "  sensitivity scan); --threads parallelizes the tree search *inside*\n"
-      "  each exact solve (they compose: 4 jobs x 8 threads = 32 node LPs in\n"
-      "  flight). --threads 0 uses one worker per hardware thread.\n"
-      "  --deterministic makes the parallel search explore a fixed tree:\n"
-      "  identical objective, node count, and iterations at any --threads.\n"
+      "  sensitivity scan); --threads runs each exact solve's node LPs and\n"
+      "  strong-branching probes on N pool threads (they compose: 4 jobs x\n"
+      "  8 threads = up to 32 LPs in flight); the explored tree, node count,\n"
+      "  and iterations are identical at any --threads, and --threads 0 uses\n"
+      "  one thread per hardware thread. --deterministic pops 8 nodes per\n"
+      "  search step instead of 1, so up to 8 node LPs run at once (a\n"
+      "  different tree, same contract).\n"
       "  --no-presolve solves the raw formulation. --sweep cuts=all races\n"
       "  the four cut configurations as scenarios (the value list is\n"
       "  ignored). Multi-period planning: --horizon N plans over N demand\n"

@@ -4,11 +4,9 @@
 //
 // Concurrency contract, chosen to keep the B&B hot loop unburdened:
 //
-//  * One writer at a time. Branch-and-bound's publication sites are already
-//    serialized (main thread in sequential/deterministic mode, the frontier
-//    mutex in the asynchronous parallel mode), so publish() does no CAS and
-//    takes no lock — a handful of relaxed atomic stores fenced by a per-slot
-//    sequence counter.
+//  * One writer at a time. Branch-and-bound publishes only from the solving
+//    thread, so publish() does no CAS and takes no lock — a handful of
+//    relaxed atomic stores fenced by a per-slot sequence counter.
 //  * Any number of concurrent readers. snapshot() is wait-free for readers:
 //    each slot is a seqlock whose sequence doubles as a write generation
 //    (sample k's slot reads exactly 2 * (k / capacity + 1)), so a torn slot

@@ -216,6 +216,21 @@ ConsolidationInstance make_enterprise(const EnterpriseSpec& spec) {
   std::vector<double> center_weights(
       static_cast<std::size_t>(spec.num_as_is_centers));
   for (auto& w : center_weights) w = rng.lognormal(0.0, 0.7);
+  // Draw weights for a group whose users sit mostly in region r: only that
+  // region's centers, or every center when the region has none.
+  std::vector<std::vector<double>> region_weights(
+      static_cast<std::size_t>(num_locations), center_weights);
+  for (int r = 0; r < num_locations; ++r) {
+    std::vector<double>& weights = region_weights[static_cast<std::size_t>(r)];
+    for (int d = 0; d < spec.num_as_is_centers; ++d) {
+      if (center_region[static_cast<std::size_t>(d)] != r) {
+        weights[static_cast<std::size_t>(d)] = 0.0;
+      }
+    }
+    double mass = 0.0;
+    for (const double w : weights) mass += w;
+    if (mass <= 0.0) weights = center_weights;  // no center in region
+  }
   instance.as_is_placement.reserve(static_cast<std::size_t>(spec.num_groups));
   for (int i = 0; i < spec.num_groups; ++i) {
     const auto& group = instance.groups[static_cast<std::size_t>(i)];
@@ -227,18 +242,9 @@ ConsolidationInstance make_enterprise(const EnterpriseSpec& spec) {
         dominant = r;
       }
     }
-    std::vector<double> weights = center_weights;
-    if (dominant >= 0) {
-      for (int d = 0; d < spec.num_as_is_centers; ++d) {
-        if (center_region[static_cast<std::size_t>(d)] != dominant) {
-          weights[static_cast<std::size_t>(d)] = 0.0;
-        }
-      }
-      double mass = 0.0;
-      for (const double w : weights) mass += w;
-      if (mass <= 0.0) weights = center_weights;  // no center in region
-    }
-    const auto d = rng.weighted_index(weights);
+    const auto d = rng.weighted_index(
+        dominant >= 0 ? region_weights[static_cast<std::size_t>(dominant)]
+                      : center_weights);
     instance.as_is_placement.push_back(static_cast<int>(d));
     instance.as_is_centers[d].servers +=
         instance.groups[static_cast<std::size_t>(i)].servers;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <condition_variable>
-#include <exception>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -59,9 +57,6 @@ struct Node {
   int branch_var = -1;
   bool branch_up = false;
   double branch_frac = 0.0;  // parent fractional part of branch_var
-  /// Worker that pushed this node (-1: the root / a sequential phase). Only
-  /// used for the per-worker steal tallies of the parallel search.
-  int producer = -1;
 };
 
 /// Open-node pool with hybrid selection: depth-first while no incumbent
@@ -143,9 +138,9 @@ void snap_integers(const Model& model, std::vector<double>& values,
 /// Per-variable branching history: average objective degradation per unit of
 /// fraction, per direction. Variables without observations inherit the
 /// global average (a freshly measured strong-branch value beats both; see
-/// select_branch in solve_impl). Internally synchronized: the parallel tree
-/// search shares one instance across all workers, and the uncontended lock
-/// is noise next to the LP solve every access rides along with.
+/// select_branch in solve_impl). Internally synchronized so it stays safe
+/// if pool threads ever read it; the uncontended lock is noise next to the
+/// LP solve every access rides along with.
 class Pseudocosts {
  public:
   explicit Pseudocosts(int num_vars)
@@ -203,29 +198,32 @@ class Pseudocosts {
   long long global_up_n_ = 0;
 };
 
-/// Tree-search workers for SearchOptions::threads: 1 keeps the sequential
-/// loop, > 1 is taken literally, <= 0 means one worker per hardware thread.
+/// Pool threads for SearchOptions::threads: > 0 is taken literally, <= 0
+/// means one per hardware thread.
 int resolve_threads(int requested) {
   if (requested > 0) return requested;
   const unsigned hardware = std::thread::hardware_concurrency();
   return hardware > 0 ? static_cast<int>(hardware) : 1;
 }
 
-/// Everything one tree-search worker owns privately, so node expansions
-/// never share mutable state: a SolveContext of its own (SolveScope nesting
-/// is stack-like and must stay single-threaded; cancellation is linked back
-/// to the solve's context and the deadline is copied), its own PreparedLp
-/// over the (possibly cut-strengthened) tree model, and its own LpEngines.
-/// Per-worker PreparedLps are built from the same model, so their internal
+/// Nodes dequeued per search step when SearchOptions::deterministic is set;
+/// otherwise the step is one node. Fixed independently of `threads` on
+/// purpose: the width shapes the explored tree, the thread count never does.
+constexpr int kDeterministicWidth = 8;
+
+/// Everything one pool slot owns privately, so LPs in flight never share
+/// mutable state: a SolveContext of its own (SolveScope nesting is
+/// stack-like and must stay single-threaded; cancellation is linked back to
+/// the solve's context and the deadline is copied), its own PreparedLp over
+/// the (possibly cut-strengthened) tree model, and its own LpEngines.
+/// Per-slot PreparedLps are built from the same model, so their internal
 /// column/row layout is identical — which is what lets a BasisSnapshot
-/// produced by one worker warm-start a sibling node on another worker with
+/// produced on one slot warm-start a child node on another with
 /// LpStartBasis::Origin::kBoundChange, keeping the dual-simplex
-/// reoptimization path intact across the frontier.
-struct WorkerScratch {
-  WorkerScratch(const lp::Model& tree_model,
-                const lp::SimplexOptions& lp_options,
-                const lp::SimplexOptions& sb_options,
-                const SolveContext& parent)
+/// reoptimization path intact.
+struct LpSlot {
+  LpSlot(const lp::Model& tree_model, const lp::SimplexOptions& lp_options,
+         const lp::SimplexOptions& sb_options, const SolveContext& parent)
       : prep(tree_model), engine(lp_options), sb_engine(sb_options) {
     ctx.set_deadline(parent.deadline());
     ctx.link_cancel_to(parent);
@@ -239,9 +237,7 @@ struct WorkerScratch {
   lp::PreparedLp prep;
   LpEngine engine;
   LpEngine sb_engine;
-  long long nodes = 0;        // node LPs this worker solved
-  long long steals = 0;       // nodes popped that another worker produced
-  long long incumbents = 0;   // incumbent improvements this worker found
+  long long nodes = 0;  // node LPs solved on this slot
   long long lp_iterations = 0;
   long long warm_started = 0;
   long long dual_reopt = 0;
@@ -353,17 +349,11 @@ MilpSolution BranchAndBoundSolver::solve_impl(
   bool have_incumbent = false;
   double incumbent = 0.0;  // in internal (minimization) orientation
   std::vector<double> incumbent_values;
-  // Lock-free publication of the incumbent bound (internal orientation;
-  // +inf when none). Parallel workers read it right before committing to a
-  // node LP so an incumbent found on another thread prunes without waiting
-  // for the frontier lock.
-  std::atomic<double> incumbent_pub{std::numeric_limits<double>::infinity()};
   double global_bound = -lp::kInfinity;
 
   // Live progress: push a sample into the job's SolveProgress ring (when
-  // attached) at every trace-worthy moment. Publication sites are
-  // serialized — the frontier mutex in the async parallel search, this
-  // thread everywhere else — which is the ring's single-writer contract.
+  // attached) at every trace-worthy moment. Every publication happens on
+  // this thread, which is the ring's single-writer contract.
   const auto publish_progress = [&](double bound_internal) {
     if (SolveProgress* progress = ctx.progress()) {
       const bool has_bound = bound_internal > -lp::kInfinity / 2;
@@ -393,7 +383,6 @@ MilpSolution BranchAndBoundSolver::solve_impl(
     if (!have_incumbent || internal < incumbent - 1e-12) {
       have_incumbent = true;
       incumbent = internal;
-      incumbent_pub.store(internal, std::memory_order_relaxed);
       incumbent_values = values;
       snap_integers(model, incumbent_values, integrality_tol);
       stats.add("incumbents", 1.0);
@@ -701,19 +690,38 @@ MilpSolution BranchAndBoundSolver::solve_impl(
   }
 
   // ---- branching machinery ----------------------------------------------
-  // Shared across tree-search workers: the pseudocost table is internally
-  // locked, the probe budget and tallies are atomics (a worker may overshoot
-  // the budget by at most one probe per peer — harmless for a heuristic).
+  // Pool threads only ever run LPs: each step's node LPs and the
+  // strong-branching probes, each on a slot of its own. Everything else —
+  // pseudocost feedback, incumbents, branching, child pushes, events — runs
+  // on this thread in dequeue order, so `threads` never changes the tree.
+  // With one thread there is no pool and no slot: every LP runs on the
+  // solve's own engine and context, exactly like the root.
+  const int width = options_.search.deterministic ? kDeterministicWidth : 1;
+  const int search_threads = resolve_threads(options_.search.threads);
+  lp::SimplexOptions sb_lp_options = options_.lp;
+  sb_lp_options.max_iterations = options_.branching.strong_branch_iterations;
+  const LpEngine sb_solver(sb_lp_options);
+  std::optional<ThreadPool> pool;
+  std::vector<std::unique_ptr<LpSlot>> slots;
+  if (search_threads > 1) {
+    pool.emplace(search_threads);
+    pool->set_trace_recorder(ctx.trace(), ctx.trace_id());
+    const int count = std::max(width, search_threads);
+    slots.reserve(static_cast<std::size_t>(count));
+    for (int s = 0; s < count; ++s) {
+      slots.push_back(std::make_unique<LpSlot>(*prep->model, options_.lp,
+                                               sb_lp_options, ctx));
+    }
+  }
+  // The pseudocost table is internally locked and the probe budget and
+  // tallies are atomics; both are only touched from this thread today.
   Pseudocosts pc(n);
   std::atomic<long long> pseudocost_updates{0};
   std::atomic<long long> strong_branch_probes{0};
   std::atomic<int> probe_budget{options_.branching.max_strong_branch_probes};
-  // Simplex iterations spent by probes issued from sequential phases (the
-  // sequential loop and deterministic apply phases); workers tally their own.
+  // Simplex iterations spent by probes on the solve's own engine; slots
+  // tally their own.
   long long seq_probe_iters = 0;
-  lp::SimplexOptions sb_lp_options = options_.lp;
-  sb_lp_options.max_iterations = options_.branching.strong_branch_iterations;
-  const LpEngine sb_solver(sb_lp_options);
   telemetry::Histogram* pc_init_histogram = nullptr;
   if (telemetry::MetricsRegistry* mreg = ctx.metrics();
       mreg != nullptr &&
@@ -729,16 +737,15 @@ MilpSolution BranchAndBoundSolver::solve_impl(
 
   // Iteration-capped probe of one branching direction from the node's own
   // optimal basis. Returns the measured per-unit-fraction degradation, the
-  // infeasible sentinel, or NaN when the probe was inconclusive. A worker
-  // probes on its own engine/prep/context (`w`); sequential phases pass
-  // nullptr and use the solve-level machinery. Deliberately does NOT touch
-  // the pseudocost table: measurements are folded in later, in candidate
-  // order, so the update sequence is identical whether the probes ran on
-  // one engine or eight (see select_branch).
+  // infeasible sentinel, or NaN when the probe was inconclusive. Runs on
+  // slot `w`, or on the solve-level machinery when `w` is null.
+  // Deliberately does NOT touch the pseudocost table: measurements are
+  // folded in later, in candidate order, so the update sequence is identical
+  // whether the probes ran on one engine or eight (see select_branch).
   const auto probe_direction = [&](const Node& node, const LpSolution& relaxed,
                                    double node_bound, int j, bool up,
                                    double frac_moved,
-                                   WorkerScratch* w) -> double {
+                                   LpSlot* w) -> double {
     std::vector<double> lower = node.lower;
     std::vector<double> upper = node.upper;
     const double v = relaxed.values[static_cast<std::size_t>(j)];
@@ -771,25 +778,18 @@ MilpSolution BranchAndBoundSolver::solve_impl(
 
   // Picks the branching variable for a node. Pseudocost product scoring
   // with strong-branching reliability initialization at shallow depth;
-  // falls back to the legacy most-fractional rule when configured. Safe to
-  // call concurrently with `w` set: probes then run on the worker's own
-  // engine and only the pseudocost table / probe budget are shared (both
-  // synchronized). Must NOT be called while holding the frontier lock.
+  // falls back to the legacy most-fractional rule when configured.
   //
-  // The probe work splits into three phases so the deterministic epoch loop
-  // can hand the probe LPs to the thread pool: (1) pick the probe set in
-  // candidate order under the global budget, (2) measure — sequentially on
-  // `w`'s (or the solve's) engine, or in parallel across `probe_scratch`
-  // when a pool is supplied, (3) fold the measurements into the pseudocost
+  // The probe work splits into three phases so the probe LPs can run on the
+  // pool: (1) pick the probe set in candidate order under the global
+  // budget, (2) measure — on the solve's engine, or in parallel across the
+  // slots when a pool exists, (3) fold the measurements into the pseudocost
   // table and score, again in candidate order. Probe LPs neither read the
   // pseudocost table nor each other, so phase 2's engine assignment cannot
   // change any result: the fold/score sequence is byte-identical whether
   // one engine measured or eight.
   const auto select_branch = [&](const Node& node, const LpSolution& relaxed,
-                                 double node_bound, WorkerScratch* w,
-                                 ThreadPool* probe_pool = nullptr,
-                                 std::vector<std::unique_ptr<WorkerScratch>>*
-                                     probe_scratch = nullptr) -> int {
+                                 double node_bound) -> int {
     if (options_.branching.rule == BranchingOptions::Rule::kMostFractional) {
       return most_fractional(model, relaxed.values, integrality_tol);
     }
@@ -848,28 +848,26 @@ MilpSolution BranchAndBoundSolver::solve_impl(
       }
     }
     // Phase 2: measure both directions of every claimed probe.
-    const auto measure = [&](Probe& p, WorkerScratch* engine) {
+    const auto measure = [&](Probe& p, LpSlot* engine) {
       const Candidate& cand = cands[p.k];
       p.down = probe_direction(node, relaxed, node_bound, cand.var,
                                /*up=*/false, cand.f, engine);
       p.up = probe_direction(node, relaxed, node_bound, cand.var,
                              /*up=*/true, 1.0 - cand.f, engine);
     };
-    if (probe_pool != nullptr && probe_scratch != nullptr &&
-        probes.size() > 1) {
-      // Chunked so a probe count above the scratch count never lands two
+    if (pool.has_value() && probes.size() > 1) {
+      // Chunked so a probe count above the slot count never lands two
       // concurrent probes on the same engine.
-      const std::size_t width = probe_scratch->size();
-      for (std::size_t base = 0; base < probes.size(); base += width) {
+      for (std::size_t base = 0; base < probes.size(); base += slots.size()) {
         const int chunk =
-            static_cast<int>(std::min(width, probes.size() - base));
-        parallel_for(*probe_pool, chunk, [&](int i) {
+            static_cast<int>(std::min(slots.size(), probes.size() - base));
+        parallel_for(*pool, chunk, [&](int i) {
           measure(probes[base + static_cast<std::size_t>(i)],
-                  (*probe_scratch)[static_cast<std::size_t>(i)].get());
+                  slots[static_cast<std::size_t>(i)].get());
         });
       }
     } else {
-      for (Probe& p : probes) measure(p, w);
+      for (Probe& p : probes) measure(p, nullptr);
     }
     // Phase 3: fold measurements and score, in candidate order.
     std::size_t pi = 0;
@@ -926,9 +924,9 @@ MilpSolution BranchAndBoundSolver::solve_impl(
   };
 
   // Pushes the down (x_j <= floor(v)) and up (x_j >= ceil(v)) children of a
-  // branched node. The caller owns frontier synchronization.
+  // branched node.
   const auto push_children = [&](const Node& node, const LpSolution& relaxed,
-                                 double node_bound, int j, int producer) {
+                                 double node_bound, int j) {
     const double v = relaxed.values[static_cast<std::size_t>(j)];
     const double frac = v - std::floor(v);
     for (const bool up : {false, true}) {
@@ -946,7 +944,6 @@ MilpSolution BranchAndBoundSolver::solve_impl(
       child->branch_var = j;
       child->branch_up = up;
       child->branch_frac = frac;
-      child->producer = producer;
       if (child->lower[static_cast<std::size_t>(j)] <=
           child->upper[static_cast<std::size_t>(j)]) {
         open.push(std::move(child));
@@ -954,65 +951,99 @@ MilpSolution BranchAndBoundSolver::solve_impl(
     }
   };
 
-  // Node LP on a worker's private engine/prep/context, mirroring
-  // `solve_node` but tallying into the worker's own counters (folded into
-  // the solve totals once workers join — never into `result` directly, so
-  // iterations are not double counted).
-  const auto solve_node_on = [&](WorkerScratch& ws, const Node& node) {
-    LpSolution lp = ws.engine.solve(
-        ws.prep, node.lower, node.upper, ws.ctx,
+  // A node's LP on slot `w`, or on the solve's own engine when `w` is null
+  // (like the root). Slots tally privately; the tallies fold into the solve
+  // once the search ends, so iterations are never double counted.
+  const auto solve_tree_node = [&](LpSlot* w, const Node& node) {
+    if (w == nullptr) {
+      LpSolution lp =
+          solve_node(node.lower, node.upper, node.parent_basis.get());
+      result.lp_iterations += lp.iterations;
+      return lp;
+    }
+    LpSolution lp = w->engine.solve(
+        w->prep, node.lower, node.upper, w->ctx,
         LpStartBasis(options_.search.warm_start_nodes ? node.parent_basis.get()
                                                       : nullptr,
                      LpStartBasis::Origin::kBoundChange));
-    if (lp.warm_started) ++ws.warm_started;
-    if (lp.used_dual) ++ws.dual_reopt;
-    ws.lp_iterations += lp.iterations;
-    ++ws.nodes;
+    if (lp.warm_started) ++w->warm_started;
+    if (lp.used_dual) ++w->dual_reopt;
+    w->lp_iterations += lp.iterations;
+    ++w->nodes;
     return lp;
   };
 
-  // Folds every worker's private tallies and stats tree back into the solve
-  // once the workers have joined: reopt/iteration totals into the solve
-  // counters, per-worker node/steal/incumbent counts under a "parallel"
-  // stats child, and each worker context's "simplex" subtree into this
-  // solve's branch_and_bound node so parallel and sequential solves report
-  // the same stats shape.
-  const auto merge_scratches =
-      [&](const std::vector<std::unique_ptr<WorkerScratch>>& scratch,
-          int threads_used) {
-        // Merge the worker stats trees before touching the "parallel" child:
-        // merge_from may grow stats.children (adding e.g. "simplex"), which
-        // would invalidate any reference held across the calls.
-        for (const std::unique_ptr<WorkerScratch>& ws : scratch) {
-          stats.merge_from(ws->ctx.stats());
-        }
-        SolveStats& pstats = stats.child("parallel");
-        pstats.add("threads", static_cast<double>(threads_used));
-        long long steals_total = 0;
-        for (std::size_t w = 0; w < scratch.size(); ++w) {
-          const WorkerScratch& ws = *scratch[w];
-          warm_started_nodes += ws.warm_started;
-          dual_reopt_nodes += ws.dual_reopt;
-          result.lp_iterations += static_cast<int>(ws.lp_iterations);
-          steals_total += ws.steals;
-          SolveStats& wstats = pstats.child("worker" + std::to_string(w));
-          wstats.add("nodes", static_cast<double>(ws.nodes));
-          wstats.add("steals", static_cast<double>(ws.steals));
-          wstats.add("incumbents", static_cast<double>(ws.incumbents));
-          wstats.add("lp_iterations", static_cast<double>(ws.lp_iterations));
-        }
-        pstats.add("steals", static_cast<double>(steals_total));
-        if (telemetry::MetricsRegistry* mreg = ctx.metrics();
-            mreg != nullptr && steals_total > 0) {
-          mreg->counter("etransform_milp_parallel_steals_total",
-                        "Frontier nodes expanded by a tree-search worker "
-                        "other than their producer")
-              .add(static_cast<double>(steals_total));
-        }
-      };
-
   bool budget_exhausted = false;
   std::optional<MilpStatus> interrupted;
+  // Nodes whose LP failed (numerical error, unbounded, or pivot budget)
+  // leave the tree unexplored. The smallest parent bound among them stays a
+  // floor on the global bound, and any drop rules out a proof of optimality
+  // or infeasibility.
+  long long dropped_nodes = 0;
+  double dropped_floor = std::numeric_limits<double>::infinity();
+
+  // Applies one solved node to the search: LP status, pseudocost feedback,
+  // pruning, the incumbent, branching and child pushes. Returns false when
+  // the LP was interrupted and the search must unwind.
+  const auto apply_node_outcome = [&](const Node& node,
+                                      const LpSolution& relaxed,
+                                      int open_nodes) -> bool {
+    ++result.nodes;
+    if (ctx.events.on_node) {
+      NodeEvent event;
+      event.node = result.nodes;
+      event.depth = node.depth;
+      event.relaxation =
+          relaxed.status == SolveStatus::kOptimal ? relaxed.objective : kNaN;
+      event.best_bound = sense_sign * global_bound;
+      event.incumbent = have_incumbent ? sense_sign * incumbent : kNaN;
+      event.open_nodes = open_nodes;
+      ctx.events.on_node(event);
+    }
+    switch (relaxed.status) {
+      case SolveStatus::kInfeasible:
+        return true;
+      case SolveStatus::kTimeLimit:
+      case SolveStatus::kCancelled:
+        // The deadline fired inside this node's LP; its bound is unusable,
+        // so the search unwinds with the partial tree.
+        interrupted = milp_status_of_lp(relaxed.status);
+        return false;
+      case SolveStatus::kNumericalError:
+        // Counted for the daemon's numerical-degradation anomaly flag.
+        stats.add("numerical_nodes", 1.0);
+        [[fallthrough]];
+      case SolveStatus::kUnbounded:
+      case SolveStatus::kIterationLimit:
+        ++dropped_nodes;
+        dropped_floor = std::min(dropped_floor, node.parent_bound);
+        return true;
+      case SolveStatus::kOptimal:
+        break;
+    }
+    const double node_bound = sense_sign * relaxed.objective;
+    // This node's LP value is the branching outcome its parent predicted:
+    // feed the realized degradation back into the pseudocosts.
+    if (node.branch_var >= 0) {
+      const double frac_moved =
+          node.branch_up ? 1.0 - node.branch_frac : node.branch_frac;
+      if (frac_moved > 1e-9) {
+        pc.update(node.branch_var, node.branch_up,
+                  (node_bound - node.parent_bound) / frac_moved);
+        ++pseudocost_updates;
+      }
+    }
+    if (have_incumbent && node_bound >= incumbent - 1e-12) return true;
+    if (all_integral(model, relaxed.values, integrality_tol)) {
+      try_incumbent(relaxed.values, relaxed.objective);
+      return true;
+    }
+    const int j = select_branch(node, relaxed, node_bound);
+    // j < 0: integral within tolerance after probing.
+    if (j >= 0) push_children(node, relaxed, node_bound, j);
+    return true;
+  };
+
   // Per-node spans would dominate the trace; batch them so a million-node
   // search stays viewable. Each span covers up to kNodesPerBatchSpan nodes.
   constexpr long long kNodesPerBatchSpan = 256;
@@ -1038,420 +1069,96 @@ MilpSolution BranchAndBoundSolver::solve_impl(
     }
   };
 
-  const int search_threads = resolve_threads(options_.search.threads);
-  if (options_.search.deterministic) {
-    // ---- deterministic epoch search ---------------------------------------
-    // Fixed dequeue epochs: pop up to `deterministic_epoch` nodes, solve
-    // their LPs in parallel (slot k always on scratch k, so counters merge
-    // in slot order), then apply the results sequentially in dequeue order
-    // on this thread — incumbent updates, pseudocost feedback, branching
-    // probes, and child pushes all happen in a thread-count-independent
-    // order. The explored tree depends on the epoch width but not on
-    // `threads`; only deadline-hit runs stay timing-dependent.
-    const int epoch = std::max(1, options_.search.deterministic_epoch);
-    std::vector<std::unique_ptr<WorkerScratch>> scratch;
-    scratch.reserve(static_cast<std::size_t>(epoch));
-    for (int s = 0; s < epoch; ++s) {
-      scratch.push_back(std::make_unique<WorkerScratch>(
-          *prep->model, options_.lp, sb_lp_options, ctx));
-    }
-    std::optional<ThreadPool> pool;
-    if (search_threads > 1) {
-      pool.emplace(search_threads);
-      pool->set_trace_recorder(ctx.trace(), ctx.trace_id());
-    }
-    std::vector<std::shared_ptr<Node>> batch;
-    std::vector<LpSolution> batch_sols(static_cast<std::size_t>(epoch));
-    while (!open.empty()) {
-      refresh_batch_span();
-      publish_node_progress();
-      const double fresh_bound = open.best_bound();
-      if (fresh_bound > global_bound + 1e-12) {
-        stats.add("bound_improvements", 1.0);
-        record_trace(fresh_bound);
-        if (ctx.events.on_bound_improvement) {
-          BoundEvent event;
-          event.node = result.nodes;
-          event.bound = sense_sign * fresh_bound;
-          event.incumbent = have_incumbent ? sense_sign * incumbent : kNaN;
-          ctx.events.on_bound_improvement(event);
-        }
-      }
-      global_bound = fresh_bound;
-      if (gap_closed()) break;
-      if (result.nodes >= options_.search.max_nodes) {
-        budget_exhausted = true;
-        break;
-      }
-      interrupted = interruption();
-      if (interrupted) break;
-
-      // Gather one epoch, pruning at pop time exactly like the sequential
-      // loop (pruned pops do not count as nodes).
-      batch.clear();
-      while (!open.empty() && static_cast<int>(batch.size()) < epoch) {
-        std::shared_ptr<Node> node = open.pop(/*depth_first=*/!have_incumbent);
-        if (have_incumbent && node->parent_bound >= incumbent - 1e-12) {
-          continue;  // pruned by bound
-        }
-        batch.push_back(std::move(node));
-      }
-      if (batch.empty()) continue;
-
-      // Phase A: the epoch's node LPs, embarrassingly parallel.
-      const auto solve_slot = [&](int s) {
-        batch_sols[static_cast<std::size_t>(s)] = solve_node_on(
-            *scratch[static_cast<std::size_t>(s)],
-            *batch[static_cast<std::size_t>(s)]);
-      };
-      if (pool.has_value()) {
-        parallel_for(*pool, static_cast<int>(batch.size()), solve_slot);
-      } else {
-        for (int s = 0; s < static_cast<int>(batch.size()); ++s) {
-          solve_slot(s);
-        }
-      }
-
-      // Phase B: apply in dequeue order.
-      for (std::size_t s = 0; s < batch.size() && !interrupted; ++s) {
-        const Node& node = *batch[s];
-        const LpSolution& relaxed = batch_sols[s];
-        ++result.nodes;
-        if (ctx.events.on_node) {
-          NodeEvent event;
-          event.node = result.nodes;
-          event.depth = node.depth;
-          event.relaxation = relaxed.status == SolveStatus::kOptimal
-                                 ? relaxed.objective
-                                 : kNaN;
-          event.best_bound = sense_sign * global_bound;
-          event.incumbent = have_incumbent ? sense_sign * incumbent : kNaN;
-          event.open_nodes =
-              open.size() + static_cast<int>(batch.size() - 1 - s);
-          ctx.events.on_node(event);
-        }
-        if (relaxed.status == SolveStatus::kInfeasible) continue;
-        if (relaxed.status == SolveStatus::kIterationLimit) {
-          budget_exhausted = true;
-          continue;
-        }
-        if (relaxed.status == SolveStatus::kTimeLimit ||
-            relaxed.status == SolveStatus::kCancelled) {
-          interrupted = milp_status_of_lp(relaxed.status);
-          break;
-        }
-        if (relaxed.status == SolveStatus::kUnbounded ||
-            relaxed.status == SolveStatus::kNumericalError) {
-          // Numerically failed nodes are dropped, but counted: the daemon's
-          // flight recorder flags solves whose tree shed nodes this way.
-          if (relaxed.status == SolveStatus::kNumericalError) {
-            stats.add("numerical_nodes", 1.0);
-          }
-          continue;
-        }
-        const double node_bound = sense_sign * relaxed.objective;
-        if (node.branch_var >= 0) {
-          const double frac_moved =
-              node.branch_up ? 1.0 - node.branch_frac : node.branch_frac;
-          if (frac_moved > 1e-9) {
-            pc.update(node.branch_var, node.branch_up,
-                      (node_bound - node.parent_bound) / frac_moved);
-            ++pseudocost_updates;
-          }
-        }
-        if (have_incumbent && node_bound >= incumbent - 1e-12) continue;
-        if (all_integral(model, relaxed.values, integrality_tol)) {
-          try_incumbent(relaxed.values, relaxed.objective);
-          continue;
-        }
-        // Strong-branch probes are the bulk of this sequential apply phase;
-        // hand them to the pool (the epoch's node LPs are already done, so
-        // the workers are idle and the scratch engines free).
-        const int j = select_branch(node, relaxed, node_bound, nullptr,
-                                    pool.has_value() ? &*pool : nullptr,
-                                    &scratch);
-        if (j < 0) continue;  // integral within tolerance after probing
-        push_children(node, relaxed, node_bound, j, /*producer=*/-1);
+  // ---- tree search --------------------------------------------------------
+  // Each step pops up to `width` nodes, pruning at pop time (pruned pops do
+  // not count as nodes), solves their LPs — on the pool when there is one,
+  // node k on slot k — and applies the outcomes in dequeue order.
+  std::vector<std::shared_ptr<Node>> batch;
+  std::vector<LpSolution> batch_sols(static_cast<std::size_t>(width));
+  while (!open.empty()) {
+    refresh_batch_span();
+    publish_node_progress();
+    // The best open node defines the global bound, floored by the parent
+    // bounds of dropped nodes.
+    const double fresh_bound = std::min(open.best_bound(), dropped_floor);
+    if (fresh_bound > global_bound + 1e-12) {
+      stats.add("bound_improvements", 1.0);
+      record_trace(fresh_bound);
+      if (ctx.events.on_bound_improvement) {
+        BoundEvent event;
+        event.node = result.nodes;
+        event.bound = sense_sign * fresh_bound;
+        event.incumbent = have_incumbent ? sense_sign * incumbent : kNaN;
+        ctx.events.on_bound_improvement(event);
       }
     }
-    merge_scratches(scratch, search_threads);
-  } else if (search_threads > 1) {
-    // ---- asynchronous parallel search -------------------------------------
-    // N workers share the best-first frontier under one mutex; node LPs and
-    // strong-branching probes run unlocked on per-worker engines. A worker
-    // expanding a node parks its bound in `inflight`, so the global bound
-    // never overshoots nodes that left the frontier but whose children have
-    // not been pushed yet. Incumbents additionally publish through the
-    // lock-free `incumbent_pub` so peers prune without taking the mutex.
-    std::vector<std::unique_ptr<WorkerScratch>> scratch;
-    scratch.reserve(static_cast<std::size_t>(search_threads));
-    for (int w = 0; w < search_threads; ++w) {
-      scratch.push_back(std::make_unique<WorkerScratch>(
-          *prep->model, options_.lp, sb_lp_options, ctx));
+    global_bound = fresh_bound;
+    if (gap_closed()) break;
+    if (result.nodes >= options_.search.max_nodes) {
+      budget_exhausted = true;
+      break;
     }
-    std::mutex mu;
-    std::condition_variable cv;
-    int active = 0;     // workers currently expanding a node
-    bool stop = false;  // a worker hit a terminal condition
-    std::exception_ptr failure;
-    std::vector<double> inflight(static_cast<std::size_t>(search_threads),
-                                 std::numeric_limits<double>::infinity());
+    interrupted = interruption();
+    if (interrupted) break;
 
-    const auto worker_loop = [&](int w) {
-      WorkerScratch& ws = *scratch[static_cast<std::size_t>(w)];
-      std::unique_lock<std::mutex> lock(mu);
-      for (;;) {
-        cv.wait(lock, [&] { return stop || !open.empty() || active == 0; });
-        if (stop) return;
-        if (open.empty()) {
-          if (active == 0) return;  // tree exhausted
-          continue;                 // spurious wakeup while peers expand
-        }
-        // Loop-top housekeeping, mirroring the sequential loop: whichever
-        // worker holds the lock refreshes the global bound (including the
-        // bounds of nodes peers are mid-expansion on) and checks the
-        // termination conditions on behalf of the whole search.
-        double fresh_bound = open.best_bound();
-        for (const double b : inflight) {
-          fresh_bound = std::min(fresh_bound, b);
-        }
-        if (fresh_bound > global_bound + 1e-12) {
-          stats.add("bound_improvements", 1.0);
-          record_trace(fresh_bound);
-          if (ctx.events.on_bound_improvement) {
-            BoundEvent event;
-            event.node = result.nodes;
-            event.bound = sense_sign * fresh_bound;
-            event.incumbent = have_incumbent ? sense_sign * incumbent : kNaN;
-            ctx.events.on_bound_improvement(event);
-          }
-        }
-        global_bound = fresh_bound;
-        publish_node_progress();  // under the frontier lock: serialized
-        // Same priority order as the sequential loop: a closed gap beats the
-        // node budget beats deadline/cancellation.
-        if (gap_closed()) {
-          stop = true;
-          cv.notify_all();
-          return;
-        }
-        if (result.nodes >= options_.search.max_nodes) {
-          budget_exhausted = true;
-          stop = true;
-          cv.notify_all();
-          return;
-        }
-        if (const std::optional<MilpStatus> hit = interruption()) {
-          interrupted = hit;
-          stop = true;
-          cv.notify_all();
-          return;
-        }
-        std::shared_ptr<Node> node = open.pop(/*depth_first=*/!have_incumbent);
-        if (have_incumbent && node->parent_bound >= incumbent - 1e-12) {
-          continue;  // pruned by bound
-        }
-        if (node->producer >= 0 && node->producer != w) ++ws.steals;
-        ++active;
-        inflight[static_cast<std::size_t>(w)] = node->parent_bound;
-        lock.unlock();
-
-        // A peer may have published a better incumbent while this node sat
-        // in the frontier: one lock-free check before paying for the LP (a
-        // late prune is uncounted, like the pop-time one).
-        const double pub = incumbent_pub.load(std::memory_order_relaxed);
-        LpSolution relaxed;
-        const bool expanded = node->parent_bound < pub - 1e-12;
-        if (expanded) relaxed = solve_node_on(ws, *node);
-
-        lock.lock();
-        if (expanded) {
-          ++result.nodes;
-          if (ctx.events.on_node) {
-            NodeEvent event;
-            event.node = result.nodes;
-            event.depth = node->depth;
-            event.relaxation = relaxed.status == SolveStatus::kOptimal
-                                   ? relaxed.objective
-                                   : kNaN;
-            event.best_bound = sense_sign * global_bound;
-            event.incumbent = have_incumbent ? sense_sign * incumbent : kNaN;
-            event.open_nodes = open.size();
-            ctx.events.on_node(event);
-          }
-          bool branch = false;
-          double node_bound = 0.0;
-          if (relaxed.status == SolveStatus::kNumericalError) {
-            // Dropped like the sequential loop; counted under the lock.
-            stats.add("numerical_nodes", 1.0);
-          } else if (relaxed.status == SolveStatus::kIterationLimit) {
-            budget_exhausted = true;
-          } else if (relaxed.status == SolveStatus::kTimeLimit ||
-                     relaxed.status == SolveStatus::kCancelled) {
-            interrupted = milp_status_of_lp(relaxed.status);
-            stop = true;
-          } else if (relaxed.status == SolveStatus::kOptimal) {
-            node_bound = sense_sign * relaxed.objective;
-            if (node->branch_var >= 0) {
-              const double frac_moved = node->branch_up
-                                            ? 1.0 - node->branch_frac
-                                            : node->branch_frac;
-              if (frac_moved > 1e-9) {
-                pc.update(node->branch_var, node->branch_up,
-                          (node_bound - node->parent_bound) / frac_moved);
-                ++pseudocost_updates;
-              }
-            }
-            if (have_incumbent && node_bound >= incumbent - 1e-12) {
-              // dominated by the incumbent
-            } else if (all_integral(model, relaxed.values, integrality_tol)) {
-              if (try_incumbent(relaxed.values, relaxed.objective)) {
-                ++ws.incumbents;
-              }
-            } else {
-              branch = true;
-            }
-          }
-          // Infeasible / unbounded / numerically failed nodes drop, exactly
-          // like the sequential loop.
-          if (branch && !stop) {
-            // Branch selection probes child LPs: drop the lock so peers keep
-            // popping while this worker probes on its own engine.
-            lock.unlock();
-            const int j = select_branch(*node, relaxed, node_bound, &ws);
-            lock.lock();
-            if (j >= 0) push_children(*node, relaxed, node_bound, j, w);
-          }
-        }
-        inflight[static_cast<std::size_t>(w)] =
-            std::numeric_limits<double>::infinity();
-        --active;
-        cv.notify_all();
-      }
-    };
-
-    {
-      ThreadPool pool(search_threads);
-      pool.set_trace_recorder(ctx.trace(), ctx.trace_id());
-      for (int w = 0; w < search_threads; ++w) {
-        pool.submit([&, w] {
-          // ThreadPool tasks must not throw; park the first failure and
-          // stop the search (rethrown after the join below).
-          try {
-            worker_loop(w);
-          } catch (...) {
-            const std::lock_guard<std::mutex> guard(mu);
-            if (!failure) failure = std::current_exception();
-            stop = true;
-            cv.notify_all();
-          }
-        });
-      }
-      pool.wait_idle();
-    }
-    merge_scratches(scratch, search_threads);
-    if (failure) std::rethrow_exception(failure);
-  } else {
-    // ---- classic sequential search ----------------------------------------
-    while (!open.empty()) {
-      refresh_batch_span();
-      publish_node_progress();
-      // The best open node defines the global bound.
-      const double fresh_bound = open.best_bound();
-      if (fresh_bound > global_bound + 1e-12) {
-        stats.add("bound_improvements", 1.0);
-        record_trace(fresh_bound);
-        if (ctx.events.on_bound_improvement) {
-          BoundEvent event;
-          event.node = result.nodes;
-          event.bound = sense_sign * fresh_bound;
-          event.incumbent = have_incumbent ? sense_sign * incumbent : kNaN;
-          ctx.events.on_bound_improvement(event);
-        }
-      }
-      global_bound = fresh_bound;
-      if (gap_closed()) break;
-      if (result.nodes >= options_.search.max_nodes) {
-        budget_exhausted = true;
-        break;
-      }
-      interrupted = interruption();
-      if (interrupted) break;
-      const std::shared_ptr<Node> node =
-          open.pop(/*depth_first=*/!have_incumbent);
+    batch.clear();
+    while (!open.empty() && static_cast<int>(batch.size()) < width) {
+      std::shared_ptr<Node> node = open.pop(/*depth_first=*/!have_incumbent);
       if (have_incumbent && node->parent_bound >= incumbent - 1e-12) {
         continue;  // pruned by bound
       }
+      batch.push_back(std::move(node));
+    }
+    if (batch.empty()) continue;
 
-      const LpSolution relaxed =
-          solve_node(node->lower, node->upper, node->parent_basis.get());
-      result.lp_iterations += relaxed.iterations;
-      ++result.nodes;
-      if (ctx.events.on_node) {
-        NodeEvent event;
-        event.node = result.nodes;
-        event.depth = node->depth;
-        event.relaxation = relaxed.status == SolveStatus::kOptimal
-                               ? relaxed.objective
-                               : kNaN;
-        event.best_bound = sense_sign * global_bound;
-        event.incumbent = have_incumbent ? sense_sign * incumbent : kNaN;
-        event.open_nodes = open.size();
-        ctx.events.on_node(event);
-      }
-      if (relaxed.status == SolveStatus::kInfeasible) continue;
-      if (relaxed.status == SolveStatus::kIterationLimit) {
-        budget_exhausted = true;
-        continue;
-      }
-      if (relaxed.status == SolveStatus::kTimeLimit ||
-          relaxed.status == SolveStatus::kCancelled) {
-        // The deadline fired inside this node's LP; its bound is unusable,
-        // so drop the node and unwind with the partial tree.
-        interrupted = milp_status_of_lp(relaxed.status);
-        break;
-      }
-      if (relaxed.status == SolveStatus::kUnbounded ||
-          relaxed.status == SolveStatus::kNumericalError) {
-        // A bounded-root MILP node cannot become unbounded by tightening
-        // bounds, and a numerically failed node has no usable bound; treat
-        // either defensively as a failed node (counted, for the daemon's
-        // numerical-degradation anomaly flag).
-        if (relaxed.status == SolveStatus::kNumericalError) {
-          stats.add("numerical_nodes", 1.0);
-        }
-        continue;
-      }
-      const double node_bound = sense_sign * relaxed.objective;
-      // This node's LP value is the branching outcome its parent predicted:
-      // feed the realized degradation back into the pseudocosts.
-      if (node->branch_var >= 0) {
-        const double frac_moved =
-            node->branch_up ? 1.0 - node->branch_frac : node->branch_frac;
-        if (frac_moved > 1e-9) {
-          pc.update(node->branch_var, node->branch_up,
-                    (node_bound - node->parent_bound) / frac_moved);
-          ++pseudocost_updates;
-        }
-      }
-      if (have_incumbent && node_bound >= incumbent - 1e-12) continue;
+    const auto solve_slot = [&](int s) {
+      batch_sols[static_cast<std::size_t>(s)] = solve_tree_node(
+          slots.empty() ? nullptr : slots[static_cast<std::size_t>(s)].get(),
+          *batch[static_cast<std::size_t>(s)]);
+    };
+    if (pool.has_value() && batch.size() > 1) {
+      parallel_for(*pool, static_cast<int>(batch.size()), solve_slot);
+    } else {
+      for (int s = 0; s < static_cast<int>(batch.size()); ++s) solve_slot(s);
+    }
 
-      if (all_integral(model, relaxed.values, integrality_tol)) {
-        try_incumbent(relaxed.values, relaxed.objective);
-        continue;
-      }
-
-      const int j = select_branch(*node, relaxed, node_bound, nullptr);
-      if (j < 0) continue;  // integral within tolerance after probing
-      push_children(*node, relaxed, node_bound, j, /*producer=*/-1);
+    for (std::size_t s = 0; s < batch.size(); ++s) {
+      const int still_open =
+          open.size() + static_cast<int>(batch.size() - 1 - s);
+      if (!apply_node_outcome(*batch[s], batch_sols[s], still_open)) break;
     }
   }
 
   batch_span.reset();
 
-  if (open.empty() && !budget_exhausted && !interrupted) {
-    // Exhausted the tree: the incumbent (if any) is optimal.
-    global_bound = have_incumbent ? incumbent : global_bound;
+  if (!slots.empty()) {
+    // Fold the slots' tallies and stats trees back into the solve: each
+    // slot context's "simplex" subtree merges into this solve's
+    // branch_and_bound node, so the stats shape matches a one-thread solve,
+    // and per-slot counts land under a "parallel" child. Merge the trees
+    // first: merge_from may grow stats.children, which would invalidate a
+    // reference to the "parallel" child held across the calls.
+    for (const std::unique_ptr<LpSlot>& slot : slots) {
+      stats.merge_from(slot->ctx.stats());
+    }
+    SolveStats& pstats = stats.child("parallel");
+    pstats.add("threads", static_cast<double>(search_threads));
+    for (std::size_t s = 0; s < slots.size(); ++s) {
+      const LpSlot& slot = *slots[s];
+      warm_started_nodes += slot.warm_started;
+      dual_reopt_nodes += slot.dual_reopt;
+      result.lp_iterations += static_cast<int>(slot.lp_iterations);
+      SolveStats& wstats = pstats.child("worker" + std::to_string(s));
+      wstats.add("nodes", static_cast<double>(slot.nodes));
+      wstats.add("lp_iterations", static_cast<double>(slot.lp_iterations));
+    }
+  }
+
+  const bool dropped = dropped_nodes > 0;
+  if (open.empty() && !budget_exhausted && !interrupted && have_incumbent) {
+    // Exhausted the tree: every subtree was pruned by the incumbent, proven
+    // infeasible, or dropped with its parent bound as a floor.
+    global_bound = std::min(incumbent, dropped_floor);
   }
 
   if (interrupted) {
@@ -1463,20 +1170,22 @@ MilpSolution BranchAndBoundSolver::solve_impl(
       result.values = std::move(incumbent_values);
     }
   } else if (have_incumbent) {
-    result.status = (!budget_exhausted && (open.empty() || gap_closed()))
-                        ? MilpStatus::kOptimal
-                        : MilpStatus::kFeasible;
+    result.status =
+        (!budget_exhausted && !dropped && (open.empty() || gap_closed()))
+            ? MilpStatus::kOptimal
+            : MilpStatus::kFeasible;
     result.objective = sense_sign * incumbent;
     result.values = std::move(incumbent_values);
   } else {
-    result.status = budget_exhausted ? MilpStatus::kNoSolutionFound
-                                     : MilpStatus::kInfeasible;
+    result.status = budget_exhausted || dropped ? MilpStatus::kNoSolutionFound
+                                                : MilpStatus::kInfeasible;
   }
   result.best_bound = sense_sign * std::min(global_bound,
                                             have_incumbent ? incumbent
                                                            : global_bound);
   result.lp_iterations += static_cast<int>(seq_probe_iters);
   stats.add("nodes", result.nodes);
+  if (dropped) stats.add("dropped_nodes", static_cast<double>(dropped_nodes));
   stamp_reopt_counters();
   const long long probes = strong_branch_probes.load();
   stats.add("strong_branch_probes", static_cast<double>(probes));

@@ -13,19 +13,20 @@
 // bound tight and enables early termination at a requested gap. A
 // depth-limited diving heuristic runs at the root to seed the incumbent.
 //
-// Parallel tree search (SearchOptions::threads > 1): the open-node frontier
-// is shared by N workers on a work-stealing ThreadPool. Each worker owns a
-// private LpEngine + PreparedLp + SolveContext (per-worker PreparedLps have
-// identical internal layout, so a parent basis produced on one worker
-// warm-starts a child on any other with the same kBoundChange dual-simplex
-// reoptimization as the sequential search), while the incumbent publishes
-// through a lock-free bound every worker checks right before committing to
-// a node LP. The root LP, cut separation, and the root dive stay
-// sequential. SearchOptions::deterministic switches to fixed node-dequeue
-// epochs whose explored tree is invariant to the thread count; see
-// solver_options.h and DESIGN.md ("Parallel tree search") for the exact
-// determinism contract. Per-worker node/steal/incumbent tallies land under
-// a "parallel" child of the branch_and_bound stats subtree.
+// One search loop: each step pops one node (eight when
+// SearchOptions::deterministic is set), solves the node LPs, and applies
+// the outcomes in dequeue order on the solving thread. With
+// SearchOptions::threads > 1 the step's node LPs and the strong-branching
+// probes run on a ThreadPool, each on a private LpEngine + PreparedLp +
+// SolveContext slot (per-slot PreparedLps have identical internal layout,
+// so a parent basis produced on one slot warm-starts a child on any other
+// with the same kBoundChange dual-simplex reoptimization). The thread count
+// never changes the explored tree; see solver_options.h and DESIGN.md
+// ("Parallel tree search"). Per-slot node tallies land under a "parallel"
+// child of the branch_and_bound stats subtree. A node whose LP fails
+// (numerical error, unbounded, pivot budget) is dropped: its parent bound
+// stays a floor on the reported bound, and the solve can then end
+// kFeasible or kNoSolutionFound but never kOptimal or kInfeasible.
 //
 // Root cutting planes (cut-and-branch): before branching starts, registered
 // CutGenerators (Gomory mixed-integer + lifted cover by default; see
@@ -50,10 +51,9 @@
 // `on_incumbent`, and `on_bound_improvement` events fire as the tree is
 // explored, and the solve builds a "branch_and_bound" stats subtree (cut
 // rounds under "cuts", strong-branching counters, incumbent/bound trace)
-// also copied into MilpSolution::stats. With threads > 1 the B&B-level
-// events fire from worker threads (serialized under the frontier lock;
-// callbacks must tolerate the calling thread not being the solve's), and
-// request_cancel() on the solve's context stops every worker cooperatively.
+// also copied into MilpSolution::stats. B&B-level events fire on the
+// solving thread at any thread count, and request_cancel() on the solve's
+// context also stops the LPs running on the pool.
 #pragma once
 
 #include <memory>

@@ -38,28 +38,20 @@ struct SearchOptions {
   /// Warm-start each node's LP from its parent's optimal basis instead of
   /// cold-starting phase 1. Off is only useful for A/B measurements.
   bool warm_start_nodes = true;
-  /// Tree-search worker threads. 1 (the default) keeps the classic
-  /// sequential node loop; > 1 shards the open-node frontier across that
-  /// many workers on a work-stealing ThreadPool (each with its own LpEngine,
-  /// PreparedLp, and parent-basis warm starts); <= 0 uses one worker per
-  /// hardware thread. The root LP, cut separation, and the root dive stay
-  /// sequential. Composes multiplicatively with farm-level parallelism
-  /// (SolveFarm workers / the CLI's --jobs): 4 jobs x 8 threads = 32 LPs in
-  /// flight.
+  /// Threads for the solve's LP pool: the node LPs of each search step and
+  /// the strong-branching probes run on it. 1 (the default) runs every LP
+  /// on the calling thread; <= 0 uses one per hardware thread. The thread
+  /// count never changes the explored tree: nodes, lp_iterations, bound and
+  /// incumbent are identical for every value (runs cut short by the
+  /// deadline or cancellation remain timing-dependent). Composes
+  /// multiplicatively with farm-level parallelism (SolveFarm workers / the
+  /// CLI's --jobs): 4 jobs x 8 threads = up to 32 LPs in flight.
   int threads = 1;
-  /// Deterministic parallel search: nodes are dequeued in fixed epochs of
-  /// `deterministic_epoch` nodes, their LPs solved in parallel, and the
-  /// results applied in dequeue order — so the explored tree, node count,
-  /// objective, and lp_iterations are identical for every `threads` value
-  /// (the tree does depend on the epoch width, and runs that hit the
-  /// deadline mid-search remain timing-dependent). Off (the default) lets
-  /// workers race asynchronously: same optimum, but node order and count
-  /// vary run to run.
+  /// Search width: off (the default) dequeues one node per step, on
+  /// dequeues eight, so up to eight node LPs run at once on the pool. Their
+  /// outcomes are applied in dequeue order either way. The width shapes the
+  /// tree, so the two settings explore different trees to the same optimum.
   bool deterministic = false;
-  /// Node-dequeue epoch width for deterministic mode. Fixed independently
-  /// of `threads` on purpose: it is what makes the explored tree
-  /// thread-count-invariant.
-  int deterministic_epoch = 8;
 };
 
 /// Root cutting-plane loop. Cuts are separated only at the root node with

@@ -46,8 +46,9 @@ StepSchedule::StepSchedule(std::vector<PriceTier> tiers)
       throw InvalidInputError(
           "StepSchedule: tier edges must be strictly increasing and positive");
     }
-    if (tier.unit_price < 0.0 || std::isnan(tier.unit_price)) {
-      throw InvalidInputError("StepSchedule: negative or NaN unit price");
+    if (!(tier.unit_price >= 0.0) || !std::isfinite(tier.unit_price)) {
+      throw InvalidInputError(
+          "StepSchedule: negative or non-finite unit price");
     }
     previous = tier.upto;
   }

@@ -161,6 +161,11 @@ void validate_instance(const ConsolidationInstance& instance) {
         if (static_cast<int>(row.size()) != num_locations) {
           fail("as-is latency row does not match location count");
         }
+        for (const double v : row) {
+          if (!(v >= 0.0) || !std::isfinite(v)) {
+            fail("negative or non-finite as-is latency entry");
+          }
+        }
       }
     }
   }

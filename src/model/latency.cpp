@@ -23,10 +23,11 @@ LatencyPenaltyFunction::LatencyPenaltyFunction(
           "LatencyPenaltyFunction: thresholds must be non-negative and "
           "strictly increasing");
     }
-    if (step.penalty_per_user < previous_penalty || step.penalty_per_user < 0) {
+    if (!(step.penalty_per_user >= previous_penalty) ||
+        !std::isfinite(step.penalty_per_user)) {
       throw InvalidInputError(
-          "LatencyPenaltyFunction: penalties must be non-negative and "
-          "non-decreasing");
+          "LatencyPenaltyFunction: penalties must be finite, non-negative "
+          "and non-decreasing");
     }
     previous_threshold = step.threshold_ms;
     previous_penalty = step.penalty_per_user;

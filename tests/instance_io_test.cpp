@@ -249,6 +249,48 @@ TEST(InstanceIo, NonFiniteNumbersParseButFailValidation) {
   }
 }
 
+/// A minimal valid .etf file with one line appended before `end`.
+std::string tiny_etf_with(const std::string& extra) {
+  return "etransform-instance v1\nlocation l 3 0\nsite s 4 0 10\n"
+         "site.space s inf 1\nsite.power s inf 1\nsite.labor s inf 1\n"
+         "site.wan s inf 1\nsite.latency s 5\ngroup g 1 1e6 7\n" +
+         extra + "end\n";
+}
+
+TEST(InstanceIo, RejectsNonFiniteSchedulePrice) {
+  EXPECT_NO_THROW(
+      (void)parse_instance(tiny_etf_with("site.space s 2 3 inf 1\n")));
+  for (const char* price : {"inf", "infinity", "-inf", "nan"}) {
+    EXPECT_THROW((void)parse_instance(tiny_etf_with(
+                     std::string("site.space s 2 3 inf ") + price + "\n")),
+                 ParseError)
+        << price;
+  }
+}
+
+TEST(InstanceIo, RejectsNonFiniteLatencyPenalty) {
+  EXPECT_NO_THROW(
+      (void)parse_instance(tiny_etf_with("group.penalty g 10 2\n")));
+  for (const char* penalty : {"inf", "infinity", "nan"}) {
+    EXPECT_THROW((void)parse_instance(tiny_etf_with(
+                     std::string("group.penalty g 10 ") + penalty + "\n")),
+                 ParseError)
+        << penalty;
+  }
+}
+
+TEST(InstanceIo, RejectsNonFiniteAsIsLatency) {
+  const auto asis = [](const std::string& latency) {
+    return tiny_etf_with("asis old 0 0 1 1 1 1\nasis.latency old " + latency +
+                         "\nplace g old\n");
+  };
+  EXPECT_NO_THROW((void)parse_instance(asis("12")));
+  for (const char* latency : {"nan", "inf", "-inf", "infinity", "-1"}) {
+    EXPECT_THROW((void)parse_instance(asis(latency)), InvalidInputError)
+        << latency;
+  }
+}
+
 TEST(InstanceIo, ReportsLineNumbers) {
   try {
     (void)parse_instance("etransform-instance v1\nname ok\nbogus\nend\n");

@@ -2,6 +2,8 @@
 // limits, node limits, time limits, relative gaps, and tolerance knobs.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/random.h"
 #include "lp/model.h"
 #include "lp/lp_engine.h"
@@ -30,6 +32,30 @@ Model hard_knapsack(int items, std::uint64_t seed) {
   }
   m.set_objective(Sense::kMaximize, objective);
   m.add_constraint("cap", cap, Relation::kLessEqual, total * 0.5);
+  return m;
+}
+
+/// A 0/1 knapsack with `rows` capacity rows (each at half its total weight).
+Model multi_knapsack(int items, int rows, std::uint64_t seed) {
+  Rng rng(seed);
+  Model m;
+  std::vector<Term> objective;
+  for (int i = 0; i < items; ++i) {
+    objective.push_back(
+        {m.add_binary("b" + std::to_string(i)), rng.uniform(10.0, 20.0)});
+  }
+  m.set_objective(Sense::kMaximize, objective);
+  for (int r = 0; r < rows; ++r) {
+    std::vector<Term> cap;
+    double total = 0.0;
+    for (int i = 0; i < items; ++i) {
+      const double w = rng.uniform(5.0, 10.0);
+      total += w;
+      cap.push_back({i, w});
+    }
+    m.add_constraint("cap" + std::to_string(r), cap, Relation::kLessEqual,
+                     total * 0.5);
+  }
   return m;
 }
 
@@ -90,6 +116,41 @@ TEST(SolverLimits, LooseRelativeGapStopsEarlyButValid) {
   EXPECT_GE(approx.objective, exact.objective * 0.75 - 1e-6);
   EXPECT_LE(approx.nodes, exact.nodes);
   EXPECT_TRUE(model.is_feasible(approx.values, 1e-6));
+}
+
+TEST(SolverLimits, DroppedNodesKeepStatusAndBoundSound) {
+  // A 3-pivot cap makes some node LPs end in kIterationLimit, so those nodes
+  // are dropped unexplored. The root restarts from its own optimal basis and
+  // needs no pivot, so only tree nodes can hit the cap. A dropped subtree
+  // may hold the optimum: the bound must stay above it (maximization), and
+  // neither optimality nor infeasibility may be claimed.
+  int runs_with_drops = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const Model model = multi_knapsack(16, 3, seed);
+    for (const bool deterministic : {false, true}) {
+      milp::SolverOptions options;
+      options.cuts.enable = false;
+      options.search.deterministic = deterministic;
+      SolveContext ctx;
+      const auto exact = milp::BranchAndBoundSolver(options).solve(model, ctx);
+      ASSERT_EQ(exact.status, milp::MilpStatus::kOptimal) << seed;
+      options.lp.max_iterations = 3;
+      const auto capped = milp::BranchAndBoundSolver(options).solve(
+          model, ctx, exact.root_basis.get());
+      const std::string label = "seed " + std::to_string(seed) +
+                                (deterministic ? ", width 8" : ", width 1");
+      EXPECT_GE(capped.best_bound, exact.objective - 1e-6) << label;
+      if (capped.has_incumbent()) {
+        EXPECT_LE(capped.objective, exact.objective + 1e-6) << label;
+      }
+      if (capped.stats.metric("dropped_nodes") > 0) {
+        ++runs_with_drops;
+        EXPECT_NE(capped.status, milp::MilpStatus::kOptimal) << label;
+        EXPECT_NE(capped.status, milp::MilpStatus::kInfeasible) << label;
+      }
+    }
+  }
+  EXPECT_GT(runs_with_drops, 0);
 }
 
 TEST(SolverLimits, NodeCountsAreReported) {
