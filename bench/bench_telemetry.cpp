@@ -103,7 +103,8 @@ void BM_ProgressPublish(benchmark::State& state) {
   long long nodes = 0;
   double bound = 1000.0;
   for (auto _ : state) {
-    progress.publish(/*time_ms=*/static_cast<double>(nodes), ++nodes,
+    ++nodes;
+    progress.publish(/*time_ms=*/static_cast<double>(nodes), nodes,
                      /*incumbent=*/500.0, /*has_incumbent=*/true,
                      bound *= 0.999999, /*has_bound=*/true);
   }

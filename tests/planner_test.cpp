@@ -97,6 +97,26 @@ TEST(Planner, LowerBoundBracketsExactCost) {
   }
 }
 
+TEST(Planner, HeuristicFallbackKeepsTheTreesNodesAndBound) {
+  // A deterministic search capped at 40 nodes finds no incumbent on
+  // enterprise1 (the root dive aborts), so the planner falls back to the
+  // heuristic plan. The tree still explored its budget and proved a bound.
+  PlannerOptions options;
+  options.engine = PlannerOptions::Engine::kExact;
+  options.milp.search.deterministic = true;
+  options.milp.search.max_nodes = 40;
+  const ConsolidationInstance instance = make_enterprise1();
+  const CostModel model(instance);
+  SolveContext ctx;
+  const PlannerReport report =
+      EtransformPlanner(options).plan(PlanInput(model), ctx);
+  EXPECT_FALSE(report.used_exact_solver);
+  EXPECT_GT(report.milp_nodes, 0);
+  ASSERT_TRUE(std::isfinite(report.lower_bound));
+  EXPECT_GT(report.lower_bound, 0.0);
+  EXPECT_LE(report.lower_bound, report.plan.cost.total());
+}
+
 TEST(Planner, DrPlansAreFeasibleAndShareBackups) {
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
     Rng rng(seed + 50);
