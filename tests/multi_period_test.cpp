@@ -193,6 +193,29 @@ TEST(MultiPeriod, TimeExpandedBeatsLockedStaticOnRightsizingEstate) {
   expect_periods_feasible(instance, horizon, locked.multi);
 }
 
+TEST(MultiPeriod, HeuristicFallbackKeepsTheTreesNodesAndBound) {
+  // Without the root dive, a search capped at 4 nodes finds no incumbent on
+  // the right-sizing estate, so the planner falls back to the per-period
+  // heuristic. The tree still explored its budget and proved a bound, which
+  // the heuristic path alone does not have.
+  const auto instance = make_rightsizing_estate({});
+  const CostModel model(instance);
+  PlannerOptions options;
+  options.engine = PlannerOptions::Engine::kExact;
+  options.milp.search.deterministic = true;
+  options.milp.search.root_dive = false;
+  options.milp.search.max_nodes = 4;
+  const PlannerReport report =
+      run_planner(model, rightsizing_curve(), options);
+  EXPECT_FALSE(report.used_exact_solver);
+  EXPECT_EQ(report.root_basis, nullptr);  // the heuristic's report
+  EXPECT_GT(report.milp_nodes, 0);
+  ASSERT_TRUE(std::isfinite(report.lower_bound));
+  EXPECT_GT(report.lower_bound, 0.0);
+  EXPECT_LE(report.lower_bound, report.multi.cost.total());
+  expect_periods_feasible(instance, rightsizing_curve(), report.multi);
+}
+
 TEST(MultiPeriod, OnlineNeverBeatsProvenOptimalOffline) {
   // The offline time-expanded optimum sees the whole horizon; no online play
   // can beat it (they are totalled by the same assemble_multi_period rule).
