@@ -46,7 +46,7 @@ lp::Model random_lp(std::uint64_t seed, int vars, int rows) {
 void BM_SimplexRandomLp(benchmark::State& state) {
   const auto model = random_lp(7, static_cast<int>(state.range(0)),
                                static_cast<int>(state.range(0)) / 2);
-  const lp::LpEngine solver;
+  lp::LpEngine solver;
   for (auto _ : state) {
     SolveContext ctx;
     benchmark::DoNotOptimize(solver.solve(model, ctx));
@@ -60,7 +60,7 @@ BENCHMARK(BM_SimplexRandomLp)->Arg(50)->Arg(200)->Arg(800);
 void BM_SimplexRandomLpTraced(benchmark::State& state) {
   const auto model = random_lp(7, static_cast<int>(state.range(0)),
                                static_cast<int>(state.range(0)) / 2);
-  const lp::LpEngine solver;
+  lp::LpEngine solver;
   telemetry::TraceRecorder recorder(/*capacity_per_thread=*/1 << 20);
   telemetry::MetricsRegistry registry;
   for (auto _ : state) {
@@ -86,7 +86,7 @@ void BM_SimplexRandomLpDense(benchmark::State& state) {
   lp::SimplexOptions options;
   options.use_dense_fallback = true;
   options.pricing = lp::PricingRule::kDantzig;
-  const lp::LpEngine solver(options);
+  lp::LpEngine solver(options);
   for (auto _ : state) {
     SolveContext ctx;
     benchmark::DoNotOptimize(solver.solve(model, ctx));

@@ -109,7 +109,8 @@ endif()
 # solve refactorizes at least once, and pricing did *something*.
 foreach(metric calls pivots refactorizations etas eta_entries
         pricing_candidate_hits pricing_full_scans warm_starts
-        dual_pivots bound_flips dual_solves factorize_ms pivot_row_entries)
+        dual_pivots bound_flips dual_solves factorize_ms pivot_row_entries
+        ratio_test_sorts)
   string(JSON value ERROR_VARIABLE json_err GET "${simplex}" "metrics" "${metric}")
   if(NOT json_err STREQUAL "NOTFOUND")
     message(FATAL_ERROR "simplex stats missing metric '${metric}'")
@@ -136,6 +137,11 @@ endif()
 if(simplex_pivot_row_entries LESS ${simplex_dual_pivots})
   message(FATAL_ERROR "simplex pivot_row_entries (${simplex_pivot_row_entries}) "
                       "< dual_pivots (${simplex_dual_pivots})")
+endif()
+# Only a dual pivot runs the ratio test, so at most every one sorted.
+if(simplex_ratio_test_sorts GREATER ${simplex_dual_pivots})
+  message(FATAL_ERROR "simplex ratio_test_sorts (${simplex_ratio_test_sorts}) "
+                      "> dual_pivots (${simplex_dual_pivots})")
 endif()
 math(EXPR pricing_total
      "${simplex_pricing_candidate_hits} + ${simplex_pricing_full_scans}")

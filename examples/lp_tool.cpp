@@ -64,7 +64,7 @@ int solve_text(const std::string& text, const char* output_path) {
         solution.values = lp::postsolve(presolved, milp_solution.values);
       }
     } else {
-      const lp::LpEngine solver;
+      lp::LpEngine solver;
       solution = solver.solve(reduced, ctx);
       std::fprintf(stderr, "simplex: %s in %d pivots\n",
                    lp::to_string(solution.status), solution.iterations);

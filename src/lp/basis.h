@@ -39,10 +39,12 @@ struct BasisCounters {
 };
 
 /// Abstract basis engine. All vectors are dense, length m (the row count
-/// fixed at construction); `ftran` maps row-indexed right-hand sides to
-/// basis-position-indexed solutions and `btran` the reverse, matching the
-/// usual revised-simplex orientation where basis position k owns row k's
-/// slot of the triangular solves.
+/// fixed at construction). factorize() rebuilds all solve-side state, so
+/// one engine may serve any number of solves over m-row bases; only its
+/// scratch capacity carries over. `ftran` maps row-indexed right-hand
+/// sides to basis-position-indexed solutions and `btran` the reverse,
+/// matching the usual revised-simplex orientation where basis position k
+/// owns row k's slot of the triangular solves.
 class BasisFactorization {
  public:
   virtual ~BasisFactorization() = default;
@@ -69,6 +71,10 @@ class BasisFactorization {
   [[nodiscard]] virtual bool should_refactorize() const = 0;
 
   [[nodiscard]] const BasisCounters& counters() const { return counters_; }
+
+  /// Zeroes the counters; an engine kept across solves calls this at the
+  /// start of each one so the counters stay per-solve.
+  void reset_counters() { counters_ = {}; }
 
  protected:
   BasisCounters counters_;

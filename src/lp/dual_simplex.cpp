@@ -17,11 +17,13 @@
 //    nonbasic columns, scattered row-wise from PreparedLp's row-major copy
 //    over the rows where rho is nonzero (rho is typically sparse).
 //  * BFRT: breakpoints (nonbasic j whose reduced cost d_j hits zero at dual
-//    step t_j = d_j / (sigma alpha_j)) are sorted by ratio; boxed
+//    step t_j = d_j / (sigma alpha_j)) are walked in ascending ratio; boxed
 //    breakpoints whose full-range flip still leaves the row infeasible are
 //    flipped (slope -= range * |alpha_j|) instead of entering, letting one
 //    dual pivot pass many small breakpoints. The first breakpoint that
-//    absorbs the remaining slope enters the basis.
+//    absorbs the remaining slope enters the basis. The walk reads a few of
+//    a list that runs to hundreds, so select_breakpoint() pops them off a
+//    min-heap and sorts the list only to settle ties (see there).
 //  * Harris-style widening: among breakpoints whose selection keeps every
 //    other candidate's reduced cost within dtol_ of feasibility, the
 //    largest |alpha| pivot is preferred for stability.
@@ -47,13 +49,98 @@ constexpr double kAlphaZeroTol = 1e-11;
 constexpr double kDegenerateStep = 1e-10;
 }  // namespace
 
+BreakpointChoice select_breakpoint(std::vector<DualBreakpoint>& bps,
+                                   std::vector<DualBreakpoint>& heap,
+                                   double slope, double ftol, double dtol,
+                                   std::vector<int>& flips) {
+  // Equal ratios are the one case where the heap's order may differ from
+  // std::sort's, which neither orders ties by column nor keeps them stable.
+  // A tie among the popped breakpoints therefore hands the pivot to the
+  // sort below. Everything left in the heap has a larger ratio than
+  // everything popped, so no other tie can matter.
+  flips.clear();
+  heap.assign(bps.begin(), bps.end());
+  const auto later = [](const DualBreakpoint& a, const DualBreakpoint& b) {
+    return a.ratio > b.ratio;
+  };
+  std::make_heap(heap.begin(), heap.end(), later);
+  auto end = heap.end();  // popped breakpoints collect behind `end`
+  double last_ratio = -std::numeric_limits<double>::infinity();
+  bool tied = false;
+  const auto pop = [&]() -> const DualBreakpoint& {
+    std::pop_heap(heap.begin(), end, later);
+    --end;
+    tied = tied || end->ratio == last_ratio;
+    last_ratio = end->ratio;
+    return *end;
+  };
+  BreakpointChoice choice;
+  choice.slope = slope;
+  const DualBreakpoint* enter = nullptr;
+  while (end != heap.begin() && !tied) {
+    const DualBreakpoint& bp = pop();
+    const double drop = bp.range * bp.abs_alpha;
+    if (choice.slope - drop > ftol) {
+      choice.slope -= drop;
+      flips.push_back(bp.j);
+      continue;
+    }
+    enter = &bp;
+    break;
+  }
+  if (enter != nullptr && !tied) {
+    // min is exact, so the heap's order over the rest does not matter.
+    double t_accept = enter->ratio + dtol / enter->abs_alpha;
+    for (auto it = heap.begin(); it != end; ++it) {
+      t_accept = std::min(t_accept, it->ratio + dtol / it->abs_alpha);
+    }
+    const DualBreakpoint* best = enter;
+    while (end != heap.begin() && heap.front().ratio <= t_accept && !tied) {
+      const DualBreakpoint& bp = pop();
+      if (bp.abs_alpha > best->abs_alpha) best = &bp;
+    }
+    choice.enter = best->j;
+  }
+  if (!tied) return choice;
+
+  flips.clear();
+  choice = BreakpointChoice{-1, slope, /*sorted=*/true};
+  std::sort(bps.begin(), bps.end(),
+            [](const DualBreakpoint& a, const DualBreakpoint& b) {
+              return a.ratio < b.ratio;
+            });
+  std::size_t enter_k = bps.size();
+  for (std::size_t k = 0; k < bps.size(); ++k) {
+    const double drop = bps[k].range * bps[k].abs_alpha;
+    if (choice.slope - drop > ftol) {
+      choice.slope -= drop;
+      flips.push_back(bps[k].j);
+      continue;
+    }
+    enter_k = k;
+    break;
+  }
+  if (enter_k == bps.size()) return choice;
+  double t_accept = std::numeric_limits<double>::infinity();
+  for (std::size_t k = enter_k; k < bps.size(); ++k) {
+    t_accept = std::min(t_accept, bps[k].ratio + dtol / bps[k].abs_alpha);
+  }
+  std::size_t best = enter_k;
+  for (std::size_t k = enter_k + 1; k < bps.size() && bps[k].ratio <= t_accept;
+       ++k) {
+    if (bps[k].abs_alpha > bps[best].abs_alpha) best = k;
+  }
+  choice.enter = bps[best].j;
+  return choice;
+}
+
 void RevisedSimplex::dual_refresh() {
   y_.assign(static_cast<std::size_t>(m_), 0.0);
   for (int k = 0; k < m_; ++k) {
     y_[static_cast<std::size_t>(k)] = shifted_cost_[static_cast<std::size_t>(
         basis_[static_cast<std::size_t>(k)])];
   }
-  engine_->btran(y_);
+  engine_.btran(y_);
   d_.assign(static_cast<std::size_t>(n_), 0.0);
   for (int j = 0; j < n_; ++j) {
     if (status_[static_cast<std::size_t>(j)] == BasisVarStatus::kBasic) {
@@ -66,6 +153,7 @@ void RevisedSimplex::dual_refresh() {
     }
     d_[static_cast<std::size_t>(j)] = d;
   }
+  fresh_duals_ = !perturbed_;
 }
 
 bool RevisedSimplex::dual_start_feasible() {
@@ -98,6 +186,7 @@ bool RevisedSimplex::dual_start_feasible() {
 
 void RevisedSimplex::dual_perturb() {
   perturbed_ = true;
+  fresh_duals_ = false;
   for (int j = 0; j < n_; ++j) {
     const auto ju = static_cast<std::size_t>(j);
     if (status_[ju] == BasisVarStatus::kBasic) continue;
@@ -208,7 +297,7 @@ SolveStatus RevisedSimplex::iterate_dual() {
     // Pivot row: rho = B^-T e_r, alpha_j = rho . A_j for nonbasic j.
     rho_.assign(static_cast<std::size_t>(m_), 0.0);
     rho_[static_cast<std::size_t>(r)] = 1.0;
-    engine_->btran(rho_);
+    engine_.btran(rho_);
     compute_pivot_row();
 
     // Ratio-test breakpoints: nonbasic columns whose reduced cost blocks
@@ -232,42 +321,22 @@ SolveStatus RevisedSimplex::iterate_dual() {
       if (!eligible) continue;
       double ratio = d_[ju] / a;
       if (ratio < 0.0) ratio = 0.0;  // d_ drift within tolerance
-      bps_.push_back({j, ratio, std::abs(alpha_[ju])});
+      bps_.push_back(
+          {j, ratio, std::abs(alpha_[ju]), upper_[ju] - lower_[ju]});
     }
 
-    bool infeasible_ray = bps_.empty();
-    std::size_t enter_k = bps_.size();
-    double slope = best_v;  // remaining primal infeasibility of row r
-    if (!infeasible_ray) {
-      std::sort(bps_.begin(), bps_.end(),
-                [](const DualBreakpoint& a, const DualBreakpoint& b) {
-                  return a.ratio < b.ratio;
-                });
-      // Bound-flipping walk: while the row's infeasibility survives
-      // flipping a boxed breakpoint across its whole range, flip it and
-      // keep walking; the entering variable is the breakpoint that absorbs
-      // the remaining slope.
-      flips_.clear();
-      for (std::size_t k = 0; k < bps_.size(); ++k) {
-        const auto ju = static_cast<std::size_t>(bps_[k].j);
-        const bool boxed =
-            std::isfinite(lower_[ju]) && std::isfinite(upper_[ju]);
-        if (boxed) {
-          const double drop = (upper_[ju] - lower_[ju]) * bps_[k].abs_alpha;
-          if (slope - drop > ftol_) {
-            slope -= drop;
-            flips_.push_back(bps_[k].j);
-            continue;
-          }
-        }
-        enter_k = k;
-        break;
-      }
-      // All breakpoints flipped away with infeasibility left: the dual is
-      // unbounded along this ray.
-      infeasible_ray = enter_k == bps_.size();
+    // Bound-flipping walk plus Harris-style widening: while the row's
+    // infeasibility survives flipping a boxed breakpoint across its whole
+    // range, flip it and keep walking; among the breakpoints whose
+    // selection keeps every other candidate's reduced cost within dtol_ of
+    // feasibility, the largest |alpha| enters as the most stable pivot.
+    // No breakpoint, or all of them flipped away with infeasibility left:
+    // the dual is unbounded along this ray.
+    BreakpointChoice choice;
+    if (!bps_.empty()) {
+      choice = select_breakpoint(bps_, bp_heap_, best_v, ftol_, dtol_, flips_);
     }
-    if (infeasible_ray) {
+    if (choice.enter < 0) {
       // Declare primal infeasibility only against a fresh factorization.
       if (pivots_since_refactor_ == 0) return SolveStatus::kInfeasible;
       if (!refactorize_or_recover()) return SolveStatus::kNumericalError;
@@ -278,20 +347,7 @@ SolveStatus RevisedSimplex::iterate_dual() {
       dual_refresh();
       continue;
     }
-
-    // Harris-style widening: any breakpoint with ratio <= t_accept keeps
-    // every other candidate's reduced cost within dtol_ of feasibility;
-    // among those, the largest |alpha| makes the most stable pivot.
-    double t_accept = std::numeric_limits<double>::infinity();
-    for (std::size_t k = enter_k; k < bps_.size(); ++k) {
-      t_accept = std::min(t_accept, bps_[k].ratio + dtol_ / bps_[k].abs_alpha);
-    }
-    std::size_t choice = enter_k;
-    for (std::size_t k = enter_k + 1;
-         k < bps_.size() && bps_[k].ratio <= t_accept; ++k) {
-      if (bps_[k].abs_alpha > bps_[choice].abs_alpha) choice = k;
-    }
-    const int q = bps_[choice].j;
+    const int q = choice.enter;
     const auto qu = static_cast<std::size_t>(q);
 
     // Entering direction w = B^-1 A_q; validate the pivot before mutating
@@ -301,7 +357,7 @@ SolveStatus RevisedSimplex::iterate_dual() {
     for (std::size_t e = 0; e < qcol.rows.size(); ++e) {
       w_[static_cast<std::size_t>(qcol.rows[e])] = qcol.coefs[e];
     }
-    engine_->ftran(w_);
+    engine_.ftran(w_);
     const double pivot = w_[static_cast<std::size_t>(r)];
     // FTRAN and BTRAN views of the pivot must agree; a large relative gap
     // means the eta file has drifted.
@@ -349,7 +405,7 @@ SolveStatus RevisedSimplex::iterate_dual() {
           work_[static_cast<std::size_t>(col.rows[e])] += col.coefs[e] * delta;
         }
       }
-      engine_->ftran(work_);
+      engine_.ftran(work_);
       for (int k = 0; k < m_; ++k) {
         value_[static_cast<std::size_t>(basis_[static_cast<std::size_t>(k)])] -=
             work_[static_cast<std::size_t>(k)];
@@ -385,9 +441,11 @@ SolveStatus RevisedSimplex::iterate_dual() {
     value_[lu] = target;
     status_[qu] = BasisVarStatus::kBasic;
     basis_[static_cast<std::size_t>(r)] = q;
+    fresh_duals_ = false;
 
     ++iterations_;
     ++dual_pivots_;
+    if (choice.sorted) ++ratio_test_sorts_;
     if (t < kDegenerateStep) {
       ++degenerate_run;
       ++degenerate_pivots_;
@@ -399,9 +457,9 @@ SolveStatus RevisedSimplex::iterate_dual() {
       degenerate_run = 0;
     }
 
-    const bool updated = engine_->update(w_, r);
+    const bool updated = engine_.update(w_, r);
     if (!updated || ++pivots_since_refactor_ >= options_.refactor_interval ||
-        engine_->should_refactorize()) {
+        engine_.should_refactorize()) {
       if (!refactorize_or_recover()) return SolveStatus::kNumericalError;
       if (restart_phase1_) {
         dual_abandoned_ = true;

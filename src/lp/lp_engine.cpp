@@ -17,7 +17,16 @@ namespace etransform::lp {
 
 LpEngine::LpEngine(SimplexOptions options) : options_(options) {}
 
-LpSolution LpEngine::solve(const Model& model, SolveContext& ctx) const {
+BasisFactorization& LpEngine::factorization(int rows) {
+  if (factorization_ == nullptr || factorization_rows_ != rows) {
+    factorization_ = make_basis_factorization(
+        rows, options_.use_dense_fallback, options_.pivot_tol);
+    factorization_rows_ = rows;
+  }
+  return *factorization_;
+}
+
+LpSolution LpEngine::solve(const Model& model, SolveContext& ctx) {
   std::vector<double> lower(static_cast<std::size_t>(model.num_variables()));
   std::vector<double> upper(static_cast<std::size_t>(model.num_variables()));
   for (int j = 0; j < model.num_variables(); ++j) {
@@ -29,7 +38,7 @@ LpSolution LpEngine::solve(const Model& model, SolveContext& ctx) const {
 
 LpSolution LpEngine::solve(const Model& model, const std::vector<double>& lower,
                            const std::vector<double>& upper,
-                           SolveContext& ctx) const {
+                           SolveContext& ctx) {
   const PreparedLp prep(model);
   return solve(prep, lower, upper, ctx);
 }
@@ -37,7 +46,7 @@ LpSolution LpEngine::solve(const Model& model, const std::vector<double>& lower,
 LpSolution LpEngine::solve(const PreparedLp& prep,
                            const std::vector<double>& lower,
                            const std::vector<double>& upper, SolveContext& ctx,
-                           const LpStartBasis& start) const {
+                           const LpStartBasis& start) {
   const Model& model = *prep.model;
   if (lower.size() != static_cast<std::size_t>(prep.num_vars) ||
       upper.size() != static_cast<std::size_t>(prep.num_vars)) {
@@ -53,7 +62,8 @@ LpSolution LpEngine::solve(const PreparedLp& prep,
     return solution;
   }
 
-  detail::RevisedSimplex core(prep, options_, ctx);
+  detail::RevisedSimplex core(prep, options_, ctx,
+                              factorization(prep.num_rows()));
   if (!core.set_bounds(lower, upper)) {
     solution.status = SolveStatus::kInfeasible;
     ET_LOG(kDebug) << "simplex: trivially infeasible (lower > upper)";
@@ -88,6 +98,7 @@ LpSolution LpEngine::solve(const PreparedLp& prep,
   stats.add("phase1_pivots", solution.phase1_iterations);
   stats.add("dual_pivots", solution.dual_pivots);
   stats.add("bound_flips", solution.bound_flips);
+  stats.add("ratio_test_sorts", core.ratio_test_sorts());
   stats.add("dual_solves", solution.used_dual ? 1.0 : 0.0);
   stats.add("refactorizations", solution.refactorizations);
   stats.add("factorize_ms", core.factorize_ms());

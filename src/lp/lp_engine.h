@@ -22,6 +22,7 @@
 // one btran and falls back to the primal warm start, never correctness.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -57,7 +58,12 @@ struct LpStartBasis {
   Origin origin = Origin::kNone;
 };
 
-/// The LP engine. Stateless between solves; safe to reuse.
+/// The LP engine. It keeps its basis factorization engine from one solve
+/// to the next (made again only when the row count changes), so the
+/// factorization's scratch is not rebuilt per LP call. No solve reads
+/// anything the previous one left except that capacity, so a result never
+/// depends on the solves before it. Solving mutates the engine: one
+/// LpEngine belongs to one thread at a time; concurrent LPs need one each.
 class LpEngine {
  public:
   explicit LpEngine(SimplexOptions options = {});
@@ -65,14 +71,14 @@ class LpEngine {
   /// Solves the LP relaxation of `model` under `ctx` (deadline, cancel
   /// token, events, stats). Throws InvalidInputError on malformed models;
   /// never throws for infeasible/unbounded (reported via status).
-  [[nodiscard]] LpSolution solve(const Model& model, SolveContext& ctx) const;
+  [[nodiscard]] LpSolution solve(const Model& model, SolveContext& ctx);
 
   /// Solves with per-variable bound overrides (used by branch-and-bound).
   /// `lower`/`upper` must each have one entry per model variable.
   [[nodiscard]] LpSolution solve(const Model& model,
                                  const std::vector<double>& lower,
                                  const std::vector<double>& upper,
-                                 SolveContext& ctx) const;
+                                 SolveContext& ctx);
 
   /// Core entry point: solves over a prebuilt standard form, optionally
   /// restarting from `start` (see LpStartBasis). Callers that solve many
@@ -82,12 +88,19 @@ class LpEngine {
                                  const std::vector<double>& lower,
                                  const std::vector<double>& upper,
                                  SolveContext& ctx,
-                                 const LpStartBasis& start = {}) const;
+                                 const LpStartBasis& start = {});
 
   [[nodiscard]] const SimplexOptions& options() const { return options_; }
 
  private:
+  /// The factorization engine for an LP with `rows` rows: the kept one when
+  /// it was made for that many rows, otherwise a new one. The options are
+  /// fixed for the LpEngine's life, so the row count is all that can differ.
+  BasisFactorization& factorization(int rows);
+
   SimplexOptions options_;
+  std::unique_ptr<BasisFactorization> factorization_;
+  int factorization_rows_ = 0;
 };
 
 /// Maps a basis snapshot of one standard form onto a rebuilt one whose rows

@@ -156,7 +156,8 @@ PreparedLp::PreparedLp(const Model& m) : model(&m) {
 namespace detail {
 
 RevisedSimplex::RevisedSimplex(const PreparedLp& prep,
-                               const SimplexOptions& options, SolveContext& ctx)
+                               const SimplexOptions& options, SolveContext& ctx,
+                               BasisFactorization& engine)
     : prep_(prep),
       options_(options),
       ctx_(ctx),
@@ -167,7 +168,8 @@ RevisedSimplex::RevisedSimplex(const PreparedLp& prep,
       status_(static_cast<std::size_t>(n_), BasisVarStatus::kAtLower),
       value_(static_cast<std::size_t>(n_), 0.0),
       basis_(static_cast<std::size_t>(m_), -1),
-      gamma_(static_cast<std::size_t>(n_), 1.0) {}
+      gamma_(static_cast<std::size_t>(n_), 1.0),
+      engine_(engine) {}
 
 bool RevisedSimplex::set_bounds(const std::vector<double>& lo,
                                 const std::vector<double>& up) {
@@ -193,8 +195,7 @@ bool RevisedSimplex::set_bounds(const std::vector<double>& lo,
 }
 
 SolveStatus RevisedSimplex::run(const BasisSnapshot* warm, bool try_dual) {
-  engine_ = make_basis_factorization(m_, options_.use_dense_fallback,
-                                     options_.pivot_tol);
+  engine_.reset_counters();
   // Small lists win empirically: Devex quality saturates around a few
   // dozen candidates while re-pricing cost keeps growing with the list.
   list_size_ = options_.candidate_list_size > 0
@@ -276,12 +277,13 @@ double RevisedSimplex::internal_objective() const {
 }
 
 std::vector<double> RevisedSimplex::row_duals() const {
+  if (fresh_duals_) return y_;
   std::vector<double> y(static_cast<std::size_t>(m_), 0.0);
   for (int k = 0; k < m_; ++k) {
     y[static_cast<std::size_t>(k)] =
         prep_.cost[static_cast<std::size_t>(basis_[static_cast<std::size_t>(k)])];
   }
-  engine_->btran(y);
+  engine_.btran(y);
   return y;
 }
 
@@ -389,7 +391,7 @@ void RevisedSimplex::recompute_values() {
       work_[static_cast<std::size_t>(col.rows[e])] -= col.coefs[e] * v;
     }
   }
-  engine_->ftran(work_);
+  engine_.ftran(work_);
   for (int k = 0; k < m_; ++k) {
     value_[static_cast<std::size_t>(basis_[static_cast<std::size_t>(k)])] =
         work_[static_cast<std::size_t>(k)];
@@ -400,8 +402,9 @@ void RevisedSimplex::recompute_values() {
 bool RevisedSimplex::refactorize() {
   const telemetry::TraceSpan span(ctx_.trace(), "lp", "simplex.factorize");
   const Stopwatch clock;
-  const bool ok = engine_->factorize(prep_.columns, basis_);
+  const bool ok = engine_.factorize(prep_.columns, basis_);
   factorize_ms_ += clock.elapsed_ms();
+  fresh_duals_ = false;
   if (!ok) return false;
   pivots_since_refactor_ = 0;
   recompute_values();
@@ -458,23 +461,25 @@ double RevisedSimplex::phase1_cost(int col) const {
   return 0.0;
 }
 
-/// y = B^-T c_B for the current phase (row-indexed output).
-void RevisedSimplex::compute_duals(std::vector<double>& y) const {
-  y.assign(static_cast<std::size_t>(m_), 0.0);
+void RevisedSimplex::compute_duals() {
+  fresh_duals_ = false;
+  y_.assign(static_cast<std::size_t>(m_), 0.0);
   for (int k = 0; k < m_; ++k) {
     const int b = basis_[static_cast<std::size_t>(k)];
-    y[static_cast<std::size_t>(k)] =
+    y_[static_cast<std::size_t>(k)] =
         phase1_ ? phase1_cost(b) : prep_.cost[static_cast<std::size_t>(b)];
   }
-  engine_->btran(y);
+  engine_.btran(y_);
 }
 
-double RevisedSimplex::reduced_cost(int j, const std::vector<double>& y) const {
+double RevisedSimplex::reduced_cost(int j) const {
+  // dual_refresh() ran this same arithmetic on the same y_.
+  if (fresh_duals_ && !phase1_) return d_[static_cast<std::size_t>(j)];
   // Nonbasic columns rest inside their bounds, so their phase-1 cost is 0.
   double d = phase1_ ? 0.0 : prep_.cost[static_cast<std::size_t>(j)];
   const SparseColumn& col = prep_.columns[static_cast<std::size_t>(j)];
   for (std::size_t e = 0; e < col.rows.size(); ++e) {
-    d -= y[static_cast<std::size_t>(col.rows[e])] * col.coefs[e];
+    d -= y_[static_cast<std::size_t>(col.rows[e])] * col.coefs[e];
   }
   return d;
 }
@@ -505,8 +510,7 @@ double RevisedSimplex::attractive_dir(int j, double d, double tol) const {
 }
 
 /// Full scan: Bland (lowest attractive index) or Dantzig (largest |d|).
-void RevisedSimplex::price_full_scan(const std::vector<double>& y, bool bland,
-                                     double tol, int& entering,
+void RevisedSimplex::price_full_scan(bool bland, double tol, int& entering,
                                      double& entering_dir) const {
   entering = -1;
   entering_dir = 0.0;
@@ -515,7 +519,7 @@ void RevisedSimplex::price_full_scan(const std::vector<double>& y, bool bland,
     if (status_[static_cast<std::size_t>(j)] == BasisVarStatus::kBasic) {
       continue;
     }
-    const double d = reduced_cost(j, y);
+    const double d = reduced_cost(j);
     const double dir = attractive_dir(j, d, tol);
     if (dir == 0.0) continue;
     if (bland) {
@@ -534,8 +538,7 @@ void RevisedSimplex::price_full_scan(const std::vector<double>& y, bool bland,
 
 /// Re-prices the candidate list with fresh reduced costs, dropping stale
 /// entries, and picks the best Devex score d^2 / gamma.
-void RevisedSimplex::price_candidates(const std::vector<double>& y,
-                                      int& entering, double& entering_dir) {
+void RevisedSimplex::price_candidates(int& entering, double& entering_dir) {
   entering = -1;
   entering_dir = 0.0;
   double best_score = 0.0;
@@ -545,7 +548,7 @@ void RevisedSimplex::price_candidates(const std::vector<double>& y,
     if (status_[static_cast<std::size_t>(j)] == BasisVarStatus::kBasic) {
       continue;
     }
-    const double d = reduced_cost(j, y);
+    const double d = reduced_cost(j);
     const double dir = attractive_dir(j, d, options_.optimality_tol);
     if (dir == 0.0) continue;
     candidates_[keep++] = j;
@@ -562,7 +565,7 @@ void RevisedSimplex::price_candidates(const std::vector<double>& y,
 /// Refills the candidate list scanning from the rotating cursor; stops
 /// once full or after a complete sweep (the latter is the full scan that
 /// licenses an optimality claim).
-void RevisedSimplex::rebuild_candidates(const std::vector<double>& y) {
+void RevisedSimplex::rebuild_candidates() {
   candidates_.clear();
   int scanned = 0;
   for (; scanned < n_; ++scanned) {
@@ -571,7 +574,7 @@ void RevisedSimplex::rebuild_candidates(const std::vector<double>& y) {
     if (status_[static_cast<std::size_t>(j)] == BasisVarStatus::kBasic) {
       continue;
     }
-    const double d = reduced_cost(j, y);
+    const double d = reduced_cost(j);
     if (attractive_dir(j, d, options_.optimality_tol) == 0.0) continue;
     candidates_.push_back(j);
     if (static_cast<int>(candidates_.size()) >= list_size_) break;
@@ -646,25 +649,26 @@ SolveStatus RevisedSimplex::iterate() {
         use_bland || options_.pricing == PricingRule::kDantzig;
     // Phase-1 costs change as basics regain feasibility and Bland needs
     // exact signs, so both recompute duals from scratch every iteration.
+    // Fresh duals from the dual loop are those very values already.
     if (!duals_valid || phase1_ || full_scan_mode) {
-      compute_duals(y_);
+      if (phase1_ || !fresh_duals_) compute_duals();
       duals_valid = true;
     }
 
     int entering = -1;
     double entering_dir = 0.0;
     if (full_scan_mode) {
-      price_full_scan(y_, use_bland, options_.optimality_tol, entering,
+      price_full_scan(use_bland, options_.optimality_tol, entering,
                       entering_dir);
       ++full_scans_;
     } else {
-      price_candidates(y_, entering, entering_dir);
+      price_candidates(entering, entering_dir);
       if (entering >= 0) {
         ++candidate_hits_;
       } else {
-        rebuild_candidates(y_);
+        rebuild_candidates();
         ++full_scans_;
-        price_candidates(y_, entering, entering_dir);
+        price_candidates(entering, entering_dir);
       }
     }
 
@@ -674,8 +678,8 @@ SolveStatus RevisedSimplex::iterate() {
       if (pivots_since_refactor_ > 0) {
         if (!refactorize_or_recover()) return SolveStatus::kNumericalError;
         if (restart_phase1_) return SolveStatus::kOptimal;
-        compute_duals(y_);
-        price_full_scan(y_, false, 10 * options_.optimality_tol, entering,
+        compute_duals();
+        price_full_scan(false, 10 * options_.optimality_tol, entering,
                         entering_dir);
         ++full_scans_;
         if (entering < 0) return SolveStatus::kOptimal;
@@ -686,7 +690,7 @@ SolveStatus RevisedSimplex::iterate() {
 
     // Reduced cost of the entering column under the current duals; feeds
     // the incremental dual update after the pivot.
-    const double d_entering = reduced_cost(entering, y_);
+    const double d_entering = reduced_cost(entering);
 
     // Direction w = B^-1 a_entering (basis-position-indexed).
     w_.assign(static_cast<std::size_t>(m_), 0.0);
@@ -695,7 +699,7 @@ SolveStatus RevisedSimplex::iterate() {
     for (std::size_t e = 0; e < acol.rows.size(); ++e) {
       w_[static_cast<std::size_t>(acol.rows[e])] = acol.coefs[e];
     }
-    engine_->ftran(w_);
+    engine_.ftran(w_);
 
     // Ratio test. The entering variable moves by t in direction
     // entering_dir; basic k changes by -t * entering_dir * w[k]. In phase
@@ -786,6 +790,7 @@ SolveStatus RevisedSimplex::iterate() {
             : upper_[static_cast<std::size_t>(leaving)];
     status_[static_cast<std::size_t>(entering)] = BasisVarStatus::kBasic;
     basis_[static_cast<std::size_t>(leaving_row)] = entering;
+    fresh_duals_ = false;
 
     // One btran of e_r (against the pre-pivot factorization) serves both
     // the Devex weight update and the dual update
@@ -799,7 +804,7 @@ SolveStatus RevisedSimplex::iterate() {
     if (need_devex || update_duals) {
       rho_.assign(static_cast<std::size_t>(m_), 0.0);
       rho_[static_cast<std::size_t>(leaving_row)] = 1.0;
-      engine_->btran(rho_);  // row r of B^-1, row-indexed
+      engine_.btran(rho_);  // row r of B^-1, row-indexed
     }
     if (update_duals) {
       const double mult = d_entering / pivot;
@@ -813,9 +818,9 @@ SolveStatus RevisedSimplex::iterate() {
     if (need_devex) devex_update(entering, leaving, leaving_row, w_);
 
     const bool updated = std::abs(pivot) >= options_.pivot_tol &&
-                         engine_->update(w_, leaving_row);
+                         engine_.update(w_, leaving_row);
     if (!updated || ++pivots_since_refactor_ >= options_.refactor_interval ||
-        engine_->should_refactorize()) {
+        engine_.should_refactorize()) {
       if (!refactorize_or_recover()) return SolveStatus::kNumericalError;
       duals_valid = false;  // refresh duals from the new factorization
       if (restart_phase1_) return SolveStatus::kOptimal;

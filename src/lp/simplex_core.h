@@ -4,14 +4,15 @@
 // lp/lp_engine.h instead.
 //
 // One RevisedSimplex instance covers one solve of one PreparedLp + bound
-// set. LpEngine drives it: run() installs the (warm) basis, optionally
+// set, on a factorization engine it borrows from its LpEngine (the engine
+// outlives the solve so its scratch is not rebuilt per LP call). LpEngine
+// drives it: run() installs the (warm) basis, optionally
 // attempts the dual simplex when the start basis passes the numeric
 // dual-feasibility check, and always finishes through the primal phase-2
 // loop so optimality is certified by a single code path.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/solve_context.h"
@@ -24,11 +25,44 @@ namespace etransform::lp::detail {
 /// solve gives up with kNumericalError.
 inline constexpr int kMaxRecoveries = 3;
 
+/// One bound-flipping ratio-test breakpoint of a dual pivot.
+struct DualBreakpoint {
+  int j;             // nonbasic internal column
+  double ratio;      // dual step at which its reduced cost hits zero
+  double abs_alpha;  // |pivot row entry|, the flip slope / pivot size
+  double range;      // upper - lower: +inf unless boxed, so it never flips
+};
+
+/// Outcome of the bound-flipping ratio test over one pivot's breakpoints.
+struct BreakpointChoice {
+  int enter = -1;       // entering column; -1 when every breakpoint flipped
+  double slope = 0.0;   // row infeasibility left after the flips
+  bool sorted = false;  // a tie sent it to the full sort of the list
+};
+
+/// The bound-flipping ratio test with Harris widening. Walks the
+/// breakpoints in ascending ratio: a breakpoint whose full-range flip
+/// (range * abs_alpha) still leaves more than `ftol` of `slope` is flipped
+/// (appended to `flips`, in walk order); the first one that absorbs the
+/// rest enters. Among the breakpoints with ratio <= t_accept, the minimum
+/// over the entering one and all later ones of ratio + dtol / abs_alpha,
+/// the first of largest abs_alpha enters instead.
+///
+/// The result is that of a std::sort of `bps` by ratio followed by that
+/// walk, bit for bit, tie order included. It gets there through a min-heap
+/// (`heap` is scratch) that pops only the breakpoints the walk reads; when
+/// two of those have equal ratios, it sorts `bps` in place and walks that.
+[[nodiscard]] BreakpointChoice select_breakpoint(
+    std::vector<DualBreakpoint>& bps, std::vector<DualBreakpoint>& heap,
+    double slope, double ftol, double dtol, std::vector<int>& flips);
+
 /// Working state of the revised simplex on one PreparedLp + bound set.
 class RevisedSimplex {
  public:
+  /// `engine` must have been made for prep.num_rows() rows and the
+  /// options' dense/pivot-tolerance choice; run() resets its counters.
   RevisedSimplex(const PreparedLp& prep, const SimplexOptions& options,
-                 SolveContext& ctx);
+                 SolveContext& ctx, BasisFactorization& engine);
 
   /// Installs per-variable bound overrides (+ the fixed slack bounds) and
   /// derives the feasibility scale. Returns false when some lower > upper.
@@ -44,11 +78,11 @@ class RevisedSimplex {
   [[nodiscard]] int iterations() const { return iterations_; }
   [[nodiscard]] int phase1_iterations() const { return phase1_iterations_; }
   [[nodiscard]] int refactorizations() const {
-    return static_cast<int>(engine_->counters().refactorizations);
+    return static_cast<int>(engine_.counters().refactorizations);
   }
   [[nodiscard]] int degenerate_pivots() const { return degenerate_pivots_; }
   [[nodiscard]] const BasisCounters& basis_counters() const {
-    return engine_->counters();
+    return engine_.counters();
   }
   [[nodiscard]] long long candidate_hits() const { return candidate_hits_; }
   [[nodiscard]] long long full_scans() const { return full_scans_; }
@@ -56,6 +90,8 @@ class RevisedSimplex {
   [[nodiscard]] bool used_dual() const { return used_dual_; }
   [[nodiscard]] int dual_pivots() const { return dual_pivots_; }
   [[nodiscard]] int bound_flips() const { return bound_flips_; }
+  /// Dual pivots whose ratio test fell back to the full sort (a tie).
+  [[nodiscard]] int ratio_test_sorts() const { return ratio_test_sorts_; }
   /// Wall time spent inside BasisFactorization::factorize, in ms.
   [[nodiscard]] double factorize_ms() const { return factorize_ms_; }
   /// Matrix entries scanned while building dual pivot rows.
@@ -71,6 +107,7 @@ class RevisedSimplex {
   [[nodiscard]] double internal_objective() const;
 
   /// Row multipliers y = c_B B^-T for the phase-2 costs (row-indexed).
+  /// Reuses the dual loop's y_ while fresh_duals_ holds.
   [[nodiscard]] std::vector<double> row_duals() const;
 
   [[nodiscard]] BasisSnapshot snapshot() const;
@@ -92,14 +129,15 @@ class RevisedSimplex {
 
   // --- primal pivot loop (simplex.cpp) ---
   [[nodiscard]] double phase1_cost(int col) const;
-  void compute_duals(std::vector<double>& y) const;
-  [[nodiscard]] double reduced_cost(int j, const std::vector<double>& y) const;
+  /// y_ = B^-T c_B for the current phase.
+  void compute_duals();
+  /// Reduced cost of nonbasic column j under y_ for the current phase.
+  [[nodiscard]] double reduced_cost(int j) const;
   [[nodiscard]] double attractive_dir(int j, double d, double tol) const;
-  void price_full_scan(const std::vector<double>& y, bool bland, double tol,
-                       int& entering, double& entering_dir) const;
-  void price_candidates(const std::vector<double>& y, int& entering,
-                        double& entering_dir);
-  void rebuild_candidates(const std::vector<double>& y);
+  void price_full_scan(bool bland, double tol, int& entering,
+                       double& entering_dir) const;
+  void price_candidates(int& entering, double& entering_dir);
+  void rebuild_candidates();
   void devex_update(int entering, int leaving, int r,
                     const std::vector<double>& w);
   SolveStatus iterate();
@@ -109,7 +147,8 @@ class RevisedSimplex {
   /// basis and checks every nonbasic column against its feasibility
   /// half-space. A true return licenses iterate_dual().
   [[nodiscard]] bool dual_start_feasible();
-  /// Refreshes y_ and d_ from the (possibly perturbed) costs via one btran.
+  /// Refreshes y_ and d_ from the (possibly perturbed) costs via one btran;
+  /// sets fresh_duals_ unless the costs are shifted.
   void dual_refresh();
   /// alpha_j = rho_ . A_j for the nonbasic columns, scattered row-wise from
   /// the rows where rho_ is nonzero; fills alpha_nz_ in ascending j.
@@ -136,7 +175,7 @@ class RevisedSimplex {
   std::vector<int> basis_;
   std::vector<double> gamma_;       // Devex reference weights
   std::vector<int> candidates_;     // partial-pricing candidate list
-  std::unique_ptr<BasisFactorization> engine_;
+  BasisFactorization& engine_;
   int cursor_ = 0;
   int list_size_ = 8;
   double ftol_ = 1e-7;
@@ -155,24 +194,26 @@ class RevisedSimplex {
   std::vector<double> y_, w_, rho_, work_;
 
   // Dual-simplex state (dual_simplex.cpp).
-  struct DualBreakpoint {
-    int j;             // nonbasic internal column
-    double ratio;      // dual step at which its reduced cost hits zero
-    double abs_alpha;  // |pivot row entry|, the flip slope / pivot size
-  };
   std::vector<double> shifted_cost_;  // prep_.cost + anti-cycling shifts
   std::vector<double> d_;             // reduced costs of nonbasic columns
   std::vector<double> alpha_;         // dense pivot row; 0 off alpha_nz_
   std::vector<int> alpha_nz_;         // nonbasic j with |alpha_[j]| > 0
   std::vector<std::uint64_t> alpha_touched_;  // columns the scatter hit
   std::vector<DualBreakpoint> bps_;   // ratio-test breakpoints
+  std::vector<DualBreakpoint> bp_heap_;  // select_breakpoint() scratch
   std::vector<int> flips_;            // bound flips of the current pivot
   double dtol_ = 1e-7;                // dual feasibility tolerance (scaled)
   bool perturbed_ = false;
+  // y_ and d_ are what dual_refresh() computed from the true costs for the
+  // current basis and factorization, so they equal the phase-2 duals and
+  // reduced costs bit for bit. Any pivot, refactorization, cost shift or
+  // other write to y_ clears it.
+  bool fresh_duals_ = false;
   bool used_dual_ = false;
   bool dual_abandoned_ = false;
   int dual_pivots_ = 0;
   int bound_flips_ = 0;
+  int ratio_test_sorts_ = 0;
   long long pivot_row_entries_ = 0;
 };
 

@@ -300,7 +300,7 @@ MilpSolution BranchAndBoundSolver::solve_impl(
   const double sense_sign = model.sense() == lp::Sense::kMinimize ? 1.0 : -1.0;
   const double integrality_tol = options_.search.integrality_tol;
   // Internally everything is a minimization of sense_sign * objective.
-  const LpEngine lp_solver(options_.lp);
+  LpEngine lp_solver(options_.lp);
   // The standard form is bounds-independent: build it once and share it
   // across the root, the dive, and every node (only bounds change per
   // node). The root cutting loop may rebind `prep` to a strengthened form
@@ -700,7 +700,7 @@ MilpSolution BranchAndBoundSolver::solve_impl(
   const int search_threads = resolve_threads(options_.search.threads);
   lp::SimplexOptions sb_lp_options = options_.lp;
   sb_lp_options.max_iterations = options_.branching.strong_branch_iterations;
-  const LpEngine sb_solver(sb_lp_options);
+  LpEngine sb_solver(sb_lp_options);
   std::optional<ThreadPool> pool;
   std::vector<std::unique_ptr<LpSlot>> slots;
   if (search_threads > 1) {
@@ -1101,8 +1101,11 @@ MilpSolution BranchAndBoundSolver::solve_impl(
     interrupted = interruption();
     if (interrupted) break;
 
+    // A step never takes more nodes than the budget has left.
+    const int step_width =
+        std::min(width, options_.search.max_nodes - result.nodes);
     batch.clear();
-    while (!open.empty() && static_cast<int>(batch.size()) < width) {
+    while (!open.empty() && static_cast<int>(batch.size()) < step_width) {
       std::shared_ptr<Node> node = open.pop(/*depth_first=*/!have_incumbent);
       if (have_incumbent && node->parent_bound >= incumbent - 1e-12) {
         continue;  // pruned by bound

@@ -44,7 +44,7 @@ MilpSolution solve_brute_force(const Model& model, SolveContext& ctx,
   }
 
   const double sense_sign = model.sense() == lp::Sense::kMinimize ? 1.0 : -1.0;
-  const LpEngine lp_solver;
+  LpEngine lp_solver;
   // One standard form shared by all assignments; only bounds change, and
   // each enumerated LP warm-starts from the previous one's basis.
   const lp::PreparedLp prep(model);

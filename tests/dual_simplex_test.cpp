@@ -1,9 +1,14 @@
 // Tests for the bound-flipping dual simplex and the LpEngine mode
 // selection: dual-vs-primal differential agreement on reoptimization
-// restarts, bound-flip ratio tests on boxed LPs, warm starts across
+// restarts, bound-flip ratio tests on boxed LPs, breakpoint selection
+// against a full sort, warm starts across
 // appended cut rows (extend_basis + Origin::kRowsAdded), the
 // fallback-to-primal contract on dual-infeasible starts, and the
 // branch-and-bound end-to-end differential.
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,6 +18,7 @@
 #include "common/error.h"
 #include "common/random.h"
 #include "lp/lp_engine.h"
+#include "lp/simplex_core.h"
 #include "milp/branch_and_bound.h"
 
 namespace etransform::lp {
@@ -68,7 +74,7 @@ TEST(DualSimplex, AgreesWithPrimalAfterBoundChanges) {
     std::vector<double> upper = model_uppers(model);
 
     SolveContext root_ctx;
-    const LpEngine engine;
+    LpEngine engine;
     const LpSolution root = engine.solve(prep, lower, upper, root_ctx);
     ASSERT_EQ(root.status, SolveStatus::kOptimal) << "seed " << seed;
     ASSERT_NE(root.basis, nullptr);
@@ -129,7 +135,7 @@ TEST(DualSimplex, BoundFlippingRatioTestFlipsBoxedVariables) {
   std::vector<double> upper = model_uppers(model);
 
   SolveContext root_ctx;
-  const LpEngine engine;
+  LpEngine engine;
   const LpSolution root = engine.solve(prep, lower, upper, root_ctx);
   ASSERT_EQ(root.status, SolveStatus::kOptimal);
   EXPECT_NEAR(root.objective, 10.0 + 0.01 * (0 + 1 + 2 + 3 + 4 + 5 + 6 + 7 +
@@ -174,7 +180,7 @@ TEST(DualSimplex, WarmStartsAcrossAppendedCutRow) {
     std::vector<double> upper = model_uppers(model);
 
     SolveContext root_ctx;
-    const LpEngine engine;
+    LpEngine engine;
     const LpSolution root = engine.solve(prep, lower, upper, root_ctx);
     ASSERT_EQ(root.status, SolveStatus::kOptimal) << "seed " << seed;
 
@@ -350,11 +356,143 @@ Model drop_from_model(const Model& model, KeepVar keep_var, KeepRow keep_row) {
   return out;
 }
 
+// The bound-flipping ratio test as the dual loop ran it before breakpoint
+// selection: std::sort the whole list by ratio, flip boxed breakpoints while
+// the row stays infeasible, enter the first one that absorbs the rest, then
+// prefer the first largest |alpha| among the Harris candidates.
+detail::BreakpointChoice sort_and_walk(std::vector<detail::DualBreakpoint> bps,
+                                       double slope, double ftol, double dtol,
+                                       std::vector<int>& flips) {
+  std::sort(bps.begin(), bps.end(),
+            [](const detail::DualBreakpoint& a,
+               const detail::DualBreakpoint& b) { return a.ratio < b.ratio; });
+  flips.clear();
+  std::size_t enter_k = bps.size();
+  for (std::size_t k = 0; k < bps.size(); ++k) {
+    if (std::isfinite(bps[k].range)) {
+      const double drop = bps[k].range * bps[k].abs_alpha;
+      if (slope - drop > ftol) {
+        slope -= drop;
+        flips.push_back(bps[k].j);
+        continue;
+      }
+    }
+    enter_k = k;
+    break;
+  }
+  detail::BreakpointChoice choice;
+  choice.slope = slope;
+  if (enter_k == bps.size()) return choice;
+  double t_accept = std::numeric_limits<double>::infinity();
+  for (std::size_t k = enter_k; k < bps.size(); ++k) {
+    t_accept = std::min(t_accept, bps[k].ratio + dtol / bps[k].abs_alpha);
+  }
+  std::size_t best = enter_k;
+  for (std::size_t k = enter_k + 1; k < bps.size() && bps[k].ratio <= t_accept;
+       ++k) {
+    if (bps[k].abs_alpha > bps[best].abs_alpha) best = k;
+  }
+  choice.enter = bps[best].j;
+  return choice;
+}
+
+// Breakpoint selection must reproduce the full sort bit for bit: the same
+// entering column (Harris choice included), flip list and remaining slope,
+// including lists whose read part holds exact ties, at ratio 0 and at equal
+// positive ratios, where std::sort's tie order decides.
+TEST(DualSimplex, BreakpointSelectionMatchesFullSort) {
+  Rng rng(2024);
+  int heap_decided = 0;
+  int tie_fallbacks = 0;
+  int rays = 0;
+  int harris_moves = 0;
+  std::vector<detail::DualBreakpoint> heap;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const int n = static_cast<int>(rng.uniform_int(1, 300));
+    // Tie flavour: 0 none, 1 a block at ratio 0, 2 a coarse grid of
+    // positive ratios, 3 both.
+    const int ties = trial % 4;
+    std::vector<detail::DualBreakpoint> bps;
+    double total_drop = 0.0;
+    for (int k = 0; k < n; ++k) {
+      detail::DualBreakpoint bp{};
+      bp.j = static_cast<int>(rng.uniform_int(0, 5000));
+      bp.ratio = rng.uniform(0.0, 2.0);
+      if ((ties & 1) != 0 && rng.uniform() < 0.1) bp.ratio = 0.0;
+      if ((ties & 2) != 0 && rng.uniform() < 0.5) {
+        bp.ratio = 0.125 * static_cast<double>(rng.uniform_int(0, 6));
+      }
+      bp.abs_alpha = rng.uniform(1e-3, 4.0);
+      const bool boxed = rng.uniform() < 0.8;
+      bp.range = boxed ? rng.uniform(0.1, 3.0)
+                       : std::numeric_limits<double>::infinity();
+      if (boxed) total_drop += bp.range * bp.abs_alpha;
+      bps.push_back(bp);
+    }
+    // Every 7th list is all boxed with more infeasibility than all flips
+    // absorb: the walk flips everything and reports a ray.
+    if (trial % 7 == 0) {
+      total_drop = 0.0;
+      for (auto& bp : bps) {
+        bp.range = rng.uniform(0.1, 3.0);
+        total_drop += bp.range * bp.abs_alpha;
+      }
+    }
+    const double slope = trial % 7 == 0
+                             ? total_drop * 2.0 + 1.0
+                             : rng.uniform(0.0, 1.0) * total_drop * 0.05 + 1e-3;
+    const double ftol = 1e-7;
+    const double dtol = trial % 3 == 0 ? 0.05 : 1e-7;
+
+    std::vector<int> want_flips;
+    const detail::BreakpointChoice want =
+        sort_and_walk(bps, slope, ftol, dtol, want_flips);
+    std::vector<detail::DualBreakpoint> work = bps;
+    std::vector<int> got_flips = {-1};  // stale entries must be cleared
+    const detail::BreakpointChoice got =
+        detail::select_breakpoint(work, heap, slope, ftol, dtol, got_flips);
+
+    ASSERT_EQ(got.enter, want.enter) << "trial " << trial;
+    ASSERT_EQ(got_flips, want_flips) << "trial " << trial;
+    ASSERT_EQ(std::memcmp(&got.slope, &want.slope, sizeof(double)), 0)
+        << "trial " << trial << ": " << got.slope << " vs " << want.slope;
+    if (want.enter < 0) ++rays;
+    if (!got.sorted) ++heap_decided;
+    if (got.sorted) ++tie_fallbacks;
+    // Continuous ratios never tie, so only tied lists may need the sort.
+    if (ties == 0) {
+      EXPECT_FALSE(got.sorted) << "trial " << trial;
+    }
+    if (want.enter >= 0) {
+      // Did Harris pick something other than the first absorbing breakpoint?
+      std::vector<int> none;
+      const detail::BreakpointChoice plain =
+          sort_and_walk(bps, slope, ftol, 0.0, none);
+      if (plain.enter != want.enter) ++harris_moves;
+    }
+  }
+  // A Harris candidate exactly at t_accept = 0.5 + 0.25 / 1 still counts.
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<detail::DualBreakpoint> boundary = {
+      {7, 2.0, 1.0, inf}, {5, 0.75, 2.0, inf}, {3, 0.5, 1.0, inf}};
+  std::vector<int> flips;
+  EXPECT_EQ(sort_and_walk(boundary, 1.0, 1e-7, 0.25, flips).enter, 5);
+  EXPECT_EQ(detail::select_breakpoint(boundary, heap, 1.0, 1e-7, 0.25, flips)
+                .enter,
+            5);
+
+  // Every path was exercised.
+  EXPECT_GT(heap_decided, 500);
+  EXPECT_GT(tie_fallbacks, 100);
+  EXPECT_GT(rays, 100);
+  EXPECT_GT(harris_moves, 50);
+}
+
 // A basis named against a model and remapped back onto the same model must
 // reproduce the optimal basis exactly: the warm solve starts optimal.
 TEST(NamedBasis, RoundTripOnSameModelStartsOptimal) {
   const Model model = random_boxed_lp(71, 50, 25, 0.3);
-  const LpEngine engine;
+  LpEngine engine;
   SolveContext cold_ctx;
   const LpSolution cold = engine.solve(model, cold_ctx);
   ASSERT_EQ(cold.status, SolveStatus::kOptimal);
@@ -384,7 +522,7 @@ TEST(NamedBasis, RemapSurvivesDroppedColumnsAndRows) {
   int warm_runs = 0;
   for (const std::uint64_t seed : seeds) {
     const Model model = random_boxed_lp(seed, 60, 30, 0.3);
-    const LpEngine engine;
+    LpEngine engine;
     SolveContext base_ctx;
     const LpSolution base = engine.solve(model, base_ctx);
     ASSERT_EQ(base.status, SolveStatus::kOptimal) << "seed " << seed;
@@ -421,7 +559,7 @@ TEST(NamedBasis, RemapSurvivesDroppedColumnsAndRows) {
 // shape disagrees with its snapshot remaps to nullopt.
 TEST(NamedBasis, RejectsMalformedShapes) {
   const Model model = random_boxed_lp(31, 20, 10, 0.4);
-  const LpEngine engine;
+  LpEngine engine;
   SolveContext ctx;
   const LpSolution sol = engine.solve(model, ctx);
   ASSERT_EQ(sol.status, SolveStatus::kOptimal);

@@ -62,7 +62,7 @@ TEST(LpRoundTrip, SolvesToTheSameOptimum) {
   m.add_constraint("c1", {{x, 1.0}}, Relation::kLessEqual, 4.0);
   m.add_constraint("c2", {{y, 2.0}}, Relation::kLessEqual, 12.0);
   m.add_constraint("c3", {{x, 3.0}, {y, 2.0}}, Relation::kLessEqual, 18.0);
-  const LpEngine solver;
+  LpEngine solver;
   SolveContext ctx;
   const auto direct = solver.solve(m, ctx);
   const auto reparsed = solver.solve(parse_lp(write_lp(m)), ctx);
@@ -92,7 +92,7 @@ TEST(LpWriter, UniquifiesDuplicateNames) {
   m.add_constraint("c", {{a, 1.0}, {b, 1.0}}, Relation::kGreaterEqual, 2.0);
   const Model reparsed = parse_lp(write_lp(m));
   EXPECT_EQ(reparsed.num_variables(), 2);
-  const LpEngine solver;
+  LpEngine solver;
   SolveContext ctx;
   const auto s = solver.solve(reparsed, ctx);
   ASSERT_EQ(s.status, SolveStatus::kOptimal);
@@ -195,7 +195,7 @@ TEST(SolutionFile, RoundTripsThroughText) {
   Model m;
   const int x = m.add_continuous("x", 0.0, 4.0);
   m.set_objective(Sense::kMaximize, {{x, 2.0}});
-  const LpEngine solver;
+  LpEngine solver;
   SolveContext ctx;
   const auto solution = solver.solve(m, ctx);
   const std::string text = write_solution(m, solution);

@@ -63,7 +63,7 @@ TEST_P(LpRoundTripProperty, SolverOutcomeSurvivesFileFormat) {
   Rng rng(GetParam());
   const Model original = random_model(rng, /*with_integers=*/false);
   const Model reparsed = parse_lp(write_lp(original));
-  const LpEngine solver;
+  LpEngine solver;
   SolveContext ctx;
   const auto a = solver.solve(original, ctx);
   const auto b = solver.solve(reparsed, ctx);
@@ -83,7 +83,7 @@ class SimplexFeasibilityProperty
 TEST_P(SimplexFeasibilityProperty, OptimalPointsAreFeasible) {
   Rng rng(GetParam() + 10000);
   const Model m = random_model(rng, /*with_integers=*/false);
-  const LpEngine solver;
+  LpEngine solver;
   SolveContext ctx;
   const auto s = solver.solve(m, ctx);
   if (s.status == SolveStatus::kOptimal) {
@@ -133,7 +133,7 @@ TEST_P(DualityProperty, StandardFormDualsSatisfyStrongDuality) {
     m.add_constraint("r" + std::to_string(i), terms, Relation::kGreaterEqual,
                      rhs[static_cast<std::size_t>(i)]);
   }
-  const LpEngine solver;
+  LpEngine solver;
   SolveContext ctx;
   const auto s = solver.solve(m, ctx);
   if (s.status != SolveStatus::kOptimal) return;  // rare: infeasible draw
@@ -227,7 +227,7 @@ TEST_P(CutValidityProperty, NoCutRemovesAnyFeasibleIntegerPoint) {
     lower.push_back(m.variable(j).lower);
     upper.push_back(m.variable(j).upper);
   }
-  const LpEngine solver;
+  LpEngine solver;
   SolveContext ctx;
   const auto relax = solver.solve(prep, lower, upper, ctx);
   if (relax.status != SolveStatus::kOptimal) return;  // nothing to separate

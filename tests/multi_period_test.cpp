@@ -216,6 +216,23 @@ TEST(MultiPeriod, HeuristicFallbackKeepsTheTreesNodesAndBound) {
   expect_periods_feasible(instance, rightsizing_curve(), report.multi);
 }
 
+TEST(MultiPeriod, DeterministicSearchStaysWithinItsNodeBudget) {
+  // Deterministic search expands up to 8 nodes per step; a step must not
+  // take more than the budget has left.
+  const auto instance = make_rightsizing_estate({});
+  const CostModel model(instance);
+  for (const int budget : {5, 10}) {
+    PlannerOptions options;
+    options.engine = PlannerOptions::Engine::kExact;
+    options.milp.search.deterministic = true;
+    options.milp.search.max_nodes = budget;
+    const PlannerReport report =
+        run_planner(model, rightsizing_curve(), options);
+    EXPECT_GT(report.milp_nodes, 0) << "budget " << budget;
+    EXPECT_LE(report.milp_nodes, budget) << "budget " << budget;
+  }
+}
+
 TEST(MultiPeriod, OnlineNeverBeatsProvenOptimalOffline) {
   // The offline time-expanded optimum sees the whole horizon; no online play
   // can beat it (they are totalled by the same assemble_multi_period rule).

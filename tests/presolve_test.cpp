@@ -93,7 +93,7 @@ TEST(Presolve, PostsolveReconstructsFullSolution) {
   m.add_constraint("c", {{y, 1.0}}, Relation::kGreaterEqual, 2.0);
   const auto result = run_presolve(m);
   ASSERT_EQ(result.status, PresolveStatus::kReduced);
-  const LpEngine solver;
+  LpEngine solver;
   SolveContext ctx;
   const auto reduced = solver.solve(result.reduced, ctx);
   ASSERT_EQ(reduced.status, SolveStatus::kOptimal);

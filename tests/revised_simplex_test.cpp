@@ -2,7 +2,8 @@
 // agreement, cycling/degeneracy under partial pricing, warm-start
 // regressions, numerical-error reporting, the basis-engine contract
 // across repeated refactorizations, sparse-LU properties over random bases,
-// and PreparedLp's row-major copy.
+// an engine kept across solves against fresh ones, and PreparedLp's
+// row-major copy.
 #include <algorithm>
 #include <cmath>
 #include <memory>
@@ -127,7 +128,7 @@ TEST(RevisedSimplex, BealeCyclingLpTerminates) {
 TEST(RevisedSimplex, WarmStartAfterBoundChangeSavesIterations) {
   const Model model = random_lp(11, 100, 50, 0.3);
   const PreparedLp prep(model);
-  const LpEngine solver;
+  LpEngine solver;
 
   std::vector<double> lower(static_cast<std::size_t>(model.num_variables()));
   std::vector<double> upper(static_cast<std::size_t>(model.num_variables()));
@@ -176,6 +177,150 @@ TEST(RevisedSimplex, EnginesRejectSingularBasis) {
     EXPECT_FALSE(engine->factorize(columns, basis))
         << (dense ? "dense" : "sparse");
   }
+}
+
+void expect_identical(const LpSolution& got, const LpSolution& want,
+                      const std::string& label) {
+  SCOPED_TRACE(label);
+  EXPECT_EQ(got.status, want.status);
+  EXPECT_EQ(got.objective, want.objective);
+  EXPECT_EQ(got.values, want.values);
+  EXPECT_EQ(got.duals, want.duals);
+  ASSERT_EQ(got.basis == nullptr, want.basis == nullptr);
+  if (got.basis != nullptr) {
+    EXPECT_EQ(got.basis->basic_columns, want.basis->basic_columns);
+    EXPECT_EQ(got.basis->column_status, want.basis->column_status);
+  }
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(got.phase1_iterations, want.phase1_iterations);
+  EXPECT_EQ(got.refactorizations, want.refactorizations);
+  EXPECT_EQ(got.degenerate_pivots, want.degenerate_pivots);
+  EXPECT_EQ(got.dual_pivots, want.dual_pivots);
+  EXPECT_EQ(got.bound_flips, want.bound_flips);
+  EXPECT_EQ(got.warm_started, want.warm_started);
+  EXPECT_EQ(got.used_dual, want.used_dual);
+}
+
+// An LpEngine keeps its factorization engine across solves. Nothing a solve
+// leaves behind may reach the next one: over a sequence whose row count
+// grows and shrinks, with a warm dual re-solve, a singular warm basis that
+// fails to factorize, iteration-limit stops and the dense fallback, every
+// solution of the kept engine equals a fresh engine's bit for bit.
+TEST(RevisedSimplex, KeptEngineMatchesFreshEngineOverASequence) {
+  const Model a = random_lp(41, 40, 20, 0.3);
+  const Model b = random_lp(42, 60, 35, 0.2);
+  const Model c = random_lp(43, 15, 10, 0.5);
+  // `d` has two identical columns, so a basis holding both is singular.
+  Model d = random_lp(44, 12, 8, 0.5);
+  {
+    Model rebuilt;
+    for (int j = 0; j < d.num_variables(); ++j) {
+      rebuilt.add_continuous(d.variable(j).name, d.variable(j).lower,
+                             d.variable(j).upper);
+    }
+    rebuilt.set_objective(d.sense(), d.objective());
+    for (int i = 0; i < d.num_constraints(); ++i) {
+      std::vector<Term> terms = {{0, 1.0 + i}, {1, 1.0 + i}};
+      for (const Term& t : d.constraint(i).terms) {
+        if (t.var > 1) terms.push_back(t);
+      }
+      rebuilt.add_constraint(d.constraint(i).name, terms,
+                             d.constraint(i).relation, d.constraint(i).rhs);
+    }
+    d = std::move(rebuilt);
+  }
+  const PreparedLp pa(a);
+  const PreparedLp pb(b);
+  const PreparedLp pc(c);
+  const PreparedLp pd(d);
+  const auto bounds = [](const Model& model, std::vector<double>& lower,
+                         std::vector<double>& upper) {
+    lower.clear();
+    upper.clear();
+    for (int j = 0; j < model.num_variables(); ++j) {
+      lower.push_back(model.variable(j).lower);
+      upper.push_back(model.variable(j).upper);
+    }
+  };
+  std::vector<double> la, ua, lb, ub, lc, uc, ld, ud;
+  bounds(a, la, ua);
+  bounds(b, lb, ub);
+  bounds(c, lc, uc);
+  bounds(d, ld, ud);
+
+  // Warm start for `a`: its optimal basis, re-solved after a bound change.
+  SolveContext root_ctx;
+  const LpSolution a_root = LpEngine().solve(pa, la, ua, root_ctx);
+  ASSERT_EQ(a_root.status, SolveStatus::kOptimal);
+  std::vector<double> ua_branch = ua;
+  for (int j = 0; j < a.num_variables(); ++j) {
+    const double v = a_root.values[static_cast<std::size_t>(j)];
+    if (v > 1e-6) {
+      ua_branch[static_cast<std::size_t>(j)] = v / 2;
+      break;
+    }
+  }
+  // Singular warm start for `d`: both twins basic, slacks elsewhere.
+  BasisSnapshot singular;
+  singular.column_status.assign(static_cast<std::size_t>(pd.num_columns()),
+                                BasisVarStatus::kAtLower);
+  for (int r = 0; r < pd.num_rows(); ++r) {
+    const int col = r < 2 ? r : pd.num_vars + r;
+    singular.basic_columns.push_back(col);
+    singular.column_status[static_cast<std::size_t>(col)] =
+        BasisVarStatus::kBasic;
+  }
+
+  struct Step {
+    const PreparedLp* prep;
+    const std::vector<double>* lower;
+    const std::vector<double>* upper;
+    LpStartBasis start;
+  };
+  const std::vector<Step> steps = {
+      {&pa, &la, &ua, {}},
+      {&pb, &lb, &ub, {}},  // more rows
+      {&pa, &la, &ua_branch,
+       LpStartBasis(a_root.basis.get(), LpStartBasis::Origin::kBoundChange)},
+      {&pd, &ld, &ud, LpStartBasis(&singular)},  // fewer rows, singular
+      {&pd, &ld, &ud, {}},  // right after the failed factorization
+      {&pc, &lc, &uc, {}},
+      {&pa, &la, &ua_branch,
+       LpStartBasis(a_root.basis.get(), LpStartBasis::Origin::kBoundChange)},
+  };
+
+  SimplexOptions limited;
+  limited.max_iterations = 6;
+  SimplexOptions dense;
+  dense.use_dense_fallback = true;
+  int limit_stops = 0;
+  int dual_solves = 0;
+  int singular_fallbacks = 0;
+  for (const SimplexOptions& options : {SimplexOptions{}, limited, dense}) {
+    LpEngine kept(options);
+    for (std::size_t k = 0; k < steps.size(); ++k) {
+      const Step& step = steps[k];
+      SolveContext kept_ctx;
+      const LpSolution got = kept.solve(*step.prep, *step.lower, *step.upper,
+                                        kept_ctx, step.start);
+      SolveContext fresh_ctx;
+      const LpSolution want = LpEngine(options).solve(
+          *step.prep, *step.lower, *step.upper, fresh_ctx, step.start);
+      expect_identical(got, want,
+                       std::string(options.use_dense_fallback ? "dense" : "lu") +
+                           " max_iterations=" +
+                           std::to_string(options.max_iterations) + " step " +
+                           std::to_string(k));
+      if (got.status == SolveStatus::kIterationLimit) ++limit_stops;
+      if (got.used_dual) ++dual_solves;
+      if (step.start.snapshot == &singular && !got.warm_started) {
+        ++singular_fallbacks;
+      }
+    }
+  }
+  EXPECT_GT(limit_stops, 0);
+  EXPECT_GT(dual_solves, 0);
+  EXPECT_EQ(singular_fallbacks, 3);
 }
 
 // Regression for a factorization-reuse bug: the Schur-update scratch marks

@@ -19,7 +19,7 @@ namespace etransform::lp {
 namespace {
 
 LpSolution solve(const Model& m) {
-  const LpEngine solver;
+  LpEngine solver;
   SolveContext ctx;
   return solver.solve(m, ctx);
 }
@@ -157,7 +157,7 @@ TEST(Simplex, DetectsTriviallyInvertedBounds) {
   Model m;
   const int x = m.add_continuous("x");
   m.set_objective(Sense::kMinimize, {{x, 1.0}});
-  const LpEngine solver;
+  LpEngine solver;
   SolveContext ctx;
   EXPECT_EQ(solver.solve(m, {5.0}, {4.0}, ctx).status,
             SolveStatus::kInfeasible);
@@ -235,7 +235,7 @@ TEST(Simplex, BoundOverridesDoNotMutateModel) {
   Model m;
   const int x = m.add_continuous("x", 0.0, 10.0);
   m.set_objective(Sense::kMaximize, {{x, 1.0}});
-  const LpEngine solver;
+  LpEngine solver;
   SolveContext ctx;
   const auto tightened = solver.solve(m, {0.0}, {4.0}, ctx);
   ASSERT_EQ(tightened.status, SolveStatus::kOptimal);
@@ -248,7 +248,7 @@ TEST(Simplex, BoundOverridesDoNotMutateModel) {
 TEST(Simplex, RejectsWrongOverrideArity) {
   Model m;
   m.add_continuous("x");
-  const LpEngine solver;
+  LpEngine solver;
   SolveContext ctx;
   EXPECT_THROW((void)solver.solve(m, {0.0, 0.0}, {1.0, 1.0}, ctx),
                InvalidInputError);

@@ -116,7 +116,7 @@ TEST(DeadlineGuard, TightensThenRestores) {
 
 TEST(SolveContext, DeadlineInterruptsSimplexMidSolve) {
   const Model m = dense_lp(150, 300, 7);
-  const lp::LpEngine solver;
+  lp::LpEngine solver;
 
   // Unlimited solve establishes how much work the model takes.
   SolveContext free_ctx;

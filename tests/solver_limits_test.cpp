@@ -62,7 +62,7 @@ Model multi_knapsack(int items, int rows, std::uint64_t seed) {
 TEST(SolverLimits, SimplexIterationLimitReported) {
   lp::SimplexOptions options;
   options.max_iterations = 1;
-  const lp::LpEngine solver(options);
+  lp::LpEngine solver(options);
   Rng rng(3);
   Model m;
   std::vector<Term> objective;
@@ -165,7 +165,7 @@ TEST(SolverLimits, NodeCountsAreReported) {
 TEST(SolverLimits, ZeroVariableModelSolves) {
   Model m;
   m.set_objective(Sense::kMinimize, {}, 42.0);
-  const lp::LpEngine solver;
+  lp::LpEngine solver;
   SolveContext ctx;
   const auto s = solver.solve(m, ctx);
   ASSERT_EQ(s.status, lp::SolveStatus::kOptimal);
