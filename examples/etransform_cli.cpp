@@ -14,10 +14,11 @@
 //       [--trace] [--stats-json stats.json]
 //       Compute the "to-be" plan and print the full report. --lp-out also
 //       writes the MILP in CPLEX LP format (feed it to lp_tool, or to an
-//       actual CPLEX, to audit the optimization engine). --cuts /
-//       --cut-rounds / --branching / --lp-algorithm tune the exact
-//       engine's root cutting-plane loop, branching rule, and LP pivoting
-//       algorithm (milp::SolverOptions).
+//       actual CPLEX, to audit the optimization engine), over the same
+//       horizon and placement lock as the plan; under --dr the file holds
+//       the joint shared-sizing model. --cuts / --cut-rounds / --branching
+//       / --lp-algorithm tune the exact engine's root cutting-plane loop,
+//       branching rule, and LP pivoting algorithm (milp::SolverOptions).
 //       --trace streams solver events (presolve reductions, simplex phases,
 //       B&B incumbents and bound moves) to stderr as they happen;
 //       --stats-json dumps the hierarchical SolveStats tree (per-phase wall
@@ -120,6 +121,10 @@ int usage() {
       "  one thread per hardware thread. --deterministic pops 8 nodes per\n"
       "  search step instead of 1, so up to 8 node LPs run at once (a\n"
       "  different tree, same contract).\n"
+      "  --lp-out writes the MILP over the planned horizon (and\n"
+      "  --static-horizon lock) in CPLEX LP format; under --dr the file\n"
+      "  holds the joint shared-sizing model, which the planner replaces\n"
+      "  with the two-stage method on large instances.\n"
       "  --no-presolve solves the raw formulation. --sweep cuts=all races\n"
       "  the four cut configurations as scenarios (the value list is\n"
       "  ignored). Multi-period planning: --horizon N plans over N demand\n"
@@ -543,6 +548,8 @@ int cmd_plan(int argc, char** argv) {
         options.business_impact_omega;
     formulation_options.economies_of_scale = options.economies_of_scale;
     formulation_options.backup_sizing = BackupSizing::kSharedJoint;
+    formulation_options.horizon = &horizon;
+    formulation_options.lock_placement = lock_placement;
     const Formulation formulation =
         build_formulation(model, formulation_options);
     std::ofstream out(lp_out);

@@ -49,18 +49,17 @@ PlannerReport EtransformPlanner::plan(const PlanInput& input,
   }
   SolveScope scope(ctx, "planner");
   PlannerReport report =
-      input.horizon.is_static()
-          ? plan_dispatch(*input.model, ctx, input.root_warm)
-          : plan_multi_period(input, ctx);
+      input.horizon.is_static() ? plan_dispatch(input, ctx)
+                                : plan_multi_period(input, ctx);
   scope.close();
   report.stats = scope.stats();
   report.interrupted = ctx.should_stop();
   return report;
 }
 
-PlannerReport EtransformPlanner::plan_dispatch(
-    const CostModel& model, SolveContext& ctx,
-    const lp::NamedBasis* root_warm) const {
+PlannerReport EtransformPlanner::plan_dispatch(const PlanInput& input,
+                                               SolveContext& ctx) const {
+  const CostModel& model = *input.model;
   const auto& instance = model.instance();
   const long long x_vars = count_assignment_vars(instance);
   const long long joint_j_vars =
@@ -79,15 +78,15 @@ PlannerReport EtransformPlanner::plan_dispatch(
 
   // Exact path.
   if (!options_.enable_dr) {
-    return plan_exact(model, /*joint_dr=*/false, ctx, root_warm);
+    return plan_exact(input, /*joint_dr=*/false, ctx);
   }
   if (options_.dr_sizing == PlannerOptions::DrSizing::kDedicated) {
     // Dedicated sizing is a plain linear term: the "surrogate" formulation
     // is exact here, no sharing variables needed.
-    return plan_exact(model, /*joint_dr=*/false, ctx, root_warm);
+    return plan_exact(input, /*joint_dr=*/false, ctx);
   }
   if (joint_j_vars <= options_.joint_dr_var_limit) {
-    return plan_exact(model, /*joint_dr=*/true, ctx, root_warm);
+    return plan_exact(input, /*joint_dr=*/true, ctx);
   }
   return plan_two_stage_dr(model, /*exact_stage1=*/true, ctx);
 }
@@ -181,9 +180,11 @@ void keep_tree_work(const milp::MilpSolution& solution, double plan_cost,
 
 }  // namespace
 
-PlannerReport EtransformPlanner::plan_exact(
-    const CostModel& model, bool joint_dr, SolveContext& ctx,
-    const lp::NamedBasis* root_warm) const {
+PlannerReport EtransformPlanner::plan_exact(const PlanInput& input,
+                                            bool joint_dr,
+                                            SolveContext& ctx) const {
+  const CostModel& model = *input.model;
+  const bool multi_period = !input.horizon.is_static();
   const bool dedicated =
       options_.dr_sizing == PlannerOptions::DrSizing::kDedicated;
   FormulationOptions formulation_options;
@@ -193,6 +194,8 @@ PlannerReport EtransformPlanner::plan_exact(
   formulation_options.backup_sizing = joint_dr ? BackupSizing::kSharedJoint
                                                : BackupSizing::kDedicated;
   formulation_options.decode_dedicated_counts = dedicated;
+  formulation_options.horizon = &input.horizon;
+  formulation_options.lock_placement = input.lock_placement;
   Formulation formulation;
   {
     SolveScope formulation_scope(ctx, "formulation");
@@ -201,14 +204,22 @@ PlannerReport EtransformPlanner::plan_exact(
                                   formulation.model.num_variables());
     formulation_scope.stats().add("rows",
                                   formulation.model.num_constraints());
+    formulation_scope.stats().add("periods", input.horizon.num_periods());
   }
-  ET_LOG(kInfo) << "planner: exact MILP with "
+  ET_LOG(kInfo) << "planner: exact MILP over "
+                << input.horizon.num_periods() << " period(s) with "
                 << formulation.model.num_variables() << " vars, "
                 << formulation.model.num_constraints() << " rows";
+  // The heuristic a starved or budget-limited solve falls back to or races:
+  // per-period solves with migration smoothing over a horizon.
+  const auto heuristic = [&] {
+    return multi_period ? plan_multi_heuristic(input, ctx)
+                        : plan_heuristic(model, ctx);
+  };
 
   std::shared_ptr<const lp::NamedBasis> named_root;
   const milp::MilpSolution solution = solve_formulation_milp(
-      formulation.model, options_.milp, ctx, root_warm, &named_root);
+      formulation.model, options_.milp, ctx, input.root_warm, &named_root);
   switch (solution.status) {
     case milp::MilpStatus::kInfeasible:
       throw InfeasibleError("planner: instance admits no feasible plan");
@@ -218,32 +229,47 @@ PlannerReport EtransformPlanner::plan_exact(
       break;
   }
   if (!usable_incumbent(solution)) {
+    if (input.lock_placement) {
+      throw InfeasibleError(
+          "planner: locked multi-period solve ended (" +
+          std::string(milp::to_string(solution.status)) +
+          ") with no incumbent");
+    }
     ET_LOG(kWarning) << "planner: exact solve ended ("
                      << milp::to_string(solution.status)
                      << ") with no incumbent; falling back to heuristic";
-    PlannerReport fallback = plan_heuristic(model, ctx);
-    keep_tree_work(solution, fallback.plan.cost.total(), fallback);
+    PlannerReport fallback = heuristic();
+    keep_tree_work(solution, fallback.objective(), fallback);
     return fallback;
   }
 
   PlannerReport report;
-  report.plan = decode_plan(model, formulation, formulation_options,
-                            solution.values, "etransform");
+  if (multi_period) {
+    report.multi = decode_multi_period_plan(model, formulation,
+                                            formulation_options,
+                                            solution.values, "etransform");
+    report.plan = report.multi.periods.front();
+  } else {
+    report.plan = decode_plan(model, formulation, formulation_options,
+                              solution.values, "etransform");
+  }
   report.used_exact_solver = true;
   report.proven_optimal = solution.status == milp::MilpStatus::kOptimal;
   report.lower_bound = solution.best_bound;
   report.milp_nodes = solution.nodes;
   report.root_basis = named_root;
-  // Polish: a proven optimum cannot improve, but budget-limited incumbents
-  // and shared-mode plans decoded from the dedicated surrogate often do.
-  // Budget-limited incumbents also race the heuristic plan (solution-pool
-  // style) so a starved branch-and-bound never returns something greedy
-  // would beat. A context-level interruption (deadline/cancel still in
-  // force out here, unlike the MILP's own time_limit_ms) skips both: the
-  // caller asked us to stop.
+  // Polish (static plans): a proven optimum cannot improve, but
+  // budget-limited incumbents and shared-mode plans decoded from the
+  // dedicated surrogate often do. Budget-limited incumbents also race the
+  // heuristic plan (solution-pool style) so a starved branch-and-bound
+  // never returns something greedy would beat; locked solves have no
+  // heuristic counterpart. A context-level interruption (deadline/cancel
+  // still in force out here, unlike the MILP's own time_limit_ms) skips
+  // both: the caller asked us to stop.
   const bool stopped = ctx.should_stop();
-  if (!stopped && (!report.proven_optimal ||
-                   (options_.enable_dr && !joint_dr && !dedicated))) {
+  if (!multi_period && !stopped &&
+      (!report.proven_optimal ||
+       (options_.enable_dr && !joint_dr && !dedicated))) {
     SolveScope polish_scope(ctx, "local_search");
     LocalSearchOptions polish = options_.local_search;
     polish.dedicated_backups = dedicated;
@@ -253,10 +279,11 @@ PlannerReport EtransformPlanner::plan_exact(
     }
     improve_plan(model, report.plan, polish, &polish_scope.stats());
   }
-  if (!stopped && !report.proven_optimal) {
-    const PlannerReport heuristic = plan_heuristic(model, ctx);
-    if (heuristic.plan.cost.total() < report.plan.cost.total()) {
-      report.plan = heuristic.plan;
+  if (!stopped && !report.proven_optimal && !input.lock_placement) {
+    PlannerReport raced = heuristic();
+    if (raced.objective() < report.objective()) {
+      report.plan = std::move(raced.plan);
+      report.multi = std::move(raced.multi);
       report.used_exact_solver = false;
     }
   }
@@ -271,7 +298,7 @@ PlannerReport EtransformPlanner::plan_two_stage_dr(const CostModel& model,
   {
     SolveScope stage1_scope(ctx, "stage1");
     if (exact_stage1) {
-      stage1 = plan_exact(model, /*joint_dr=*/false, ctx, nullptr);
+      stage1 = plan_exact(PlanInput(model), /*joint_dr=*/false, ctx);
     } else {
       stage1 = plan_heuristic(model, ctx);
     }
@@ -589,7 +616,7 @@ PlannerReport EtransformPlanner::plan_multi_period(const PlanInput& input,
   }
   if (!options_.enable_dr ||
       options_.dr_sizing == PlannerOptions::DrSizing::kDedicated) {
-    return plan_multi_exact(input, /*joint_dr=*/false, ctx);
+    return plan_exact(input, /*joint_dr=*/false, ctx);
   }
   // Joint shared sizing replicates the J block per period; gate on the
   // total. Over the limit, the dedicated surrogate stands in and decode
@@ -597,89 +624,7 @@ PlannerReport EtransformPlanner::plan_multi_period(const PlanInput& input,
   // multi-period mode — fixing primaries would also fix the migrations).
   const long long joint_j_vars =
       x_vars * static_cast<long long>(base.num_sites());
-  return plan_multi_exact(input,
-                          joint_j_vars <= options_.joint_dr_var_limit, ctx);
-}
-
-PlannerReport EtransformPlanner::plan_multi_exact(const PlanInput& input,
-                                                  bool joint_dr,
-                                                  SolveContext& ctx) const {
-  const CostModel& model = *input.model;
-  const bool dedicated =
-      options_.dr_sizing == PlannerOptions::DrSizing::kDedicated;
-  FormulationOptions formulation_options;
-  formulation_options.enable_dr = options_.enable_dr;
-  formulation_options.business_impact_omega = options_.business_impact_omega;
-  formulation_options.economies_of_scale = options_.economies_of_scale;
-  formulation_options.backup_sizing = joint_dr ? BackupSizing::kSharedJoint
-                                               : BackupSizing::kDedicated;
-  formulation_options.decode_dedicated_counts = dedicated;
-  formulation_options.horizon = &input.horizon;
-  formulation_options.lock_placement = input.lock_placement;
-  Formulation formulation;
-  {
-    SolveScope formulation_scope(ctx, "formulation");
-    formulation = build_formulation(model, formulation_options);
-    formulation_scope.stats().add("variables",
-                                  formulation.model.num_variables());
-    formulation_scope.stats().add("rows",
-                                  formulation.model.num_constraints());
-    formulation_scope.stats().add("periods", input.horizon.num_periods());
-  }
-  ET_LOG(kInfo) << "planner: time-expanded MILP over "
-                << input.horizon.num_periods() << " periods with "
-                << formulation.model.num_variables() << " vars, "
-                << formulation.model.num_constraints() << " rows";
-
-  std::shared_ptr<const lp::NamedBasis> named_root;
-  const milp::MilpSolution solution = solve_formulation_milp(
-      formulation.model, options_.milp, ctx, input.root_warm, &named_root);
-  switch (solution.status) {
-    case milp::MilpStatus::kInfeasible:
-      throw InfeasibleError(
-          "planner: horizon admits no feasible multi-period plan");
-    case milp::MilpStatus::kUnbounded:
-      throw UnboundedError("planner: formulation unbounded (modelling bug)");
-    default:
-      break;
-  }
-  if (!usable_incumbent(solution)) {
-    if (input.lock_placement) {
-      throw InfeasibleError(
-          "planner: locked multi-period solve ended (" +
-          std::string(milp::to_string(solution.status)) +
-          ") with no incumbent");
-    }
-    ET_LOG(kWarning) << "planner: time-expanded solve ended ("
-                     << milp::to_string(solution.status)
-                     << ") with no incumbent; falling back to heuristic";
-    PlannerReport fallback = plan_multi_heuristic(input, ctx);
-    keep_tree_work(solution, fallback.multi.cost.total(), fallback);
-    return fallback;
-  }
-
-  PlannerReport report;
-  report.multi = decode_multi_period_plan(
-      model, formulation, formulation_options, solution.values, "etransform");
-  report.plan = report.multi.periods.front();
-  report.used_exact_solver = true;
-  report.proven_optimal = solution.status == milp::MilpStatus::kOptimal;
-  report.lower_bound = solution.best_bound;
-  report.milp_nodes = solution.nodes;
-  report.root_basis = named_root;
-  // Budget-limited incumbents race the per-period heuristic (solution-pool
-  // style), exactly like the static path. Locked solves have no heuristic
-  // counterpart.
-  if (!ctx.should_stop() && !report.proven_optimal &&
-      !input.lock_placement) {
-    const PlannerReport heuristic = plan_multi_heuristic(input, ctx);
-    if (heuristic.multi.cost.total() < report.multi.cost.total()) {
-      report.multi = heuristic.multi;
-      report.plan = report.multi.periods.front();
-      report.used_exact_solver = false;
-    }
-  }
-  return report;
+  return plan_exact(input, joint_j_vars <= options_.joint_dr_var_limit, ctx);
 }
 
 PlannerReport EtransformPlanner::plan_multi_heuristic(const PlanInput& input,

@@ -177,14 +177,12 @@ class EtransformPlanner {
   [[nodiscard]] const PlannerOptions& options() const { return options_; }
 
  private:
-  [[nodiscard]] PlannerReport plan_dispatch(const CostModel& model,
-                                            SolveContext& ctx,
-                                            const lp::NamedBasis* root_warm)
-      const;
-  [[nodiscard]] PlannerReport plan_exact(const CostModel& model, bool joint_dr,
-                                         SolveContext& ctx,
-                                         const lp::NamedBasis* root_warm)
-      const;
+  [[nodiscard]] PlannerReport plan_dispatch(const PlanInput& input,
+                                            SolveContext& ctx) const;
+  /// The one exact path for every horizon: build, solve, fall back to the
+  /// heuristic without an incumbent, decode, polish and race.
+  [[nodiscard]] PlannerReport plan_exact(const PlanInput& input, bool joint_dr,
+                                         SolveContext& ctx) const;
   [[nodiscard]] PlannerReport plan_two_stage_dr(const CostModel& model,
                                                 bool exact_stage1,
                                                 SolveContext& ctx) const;
@@ -192,9 +190,6 @@ class EtransformPlanner {
                                              SolveContext& ctx) const;
   [[nodiscard]] PlannerReport plan_multi_period(const PlanInput& input,
                                                 SolveContext& ctx) const;
-  [[nodiscard]] PlannerReport plan_multi_exact(const PlanInput& input,
-                                               bool joint_dr,
-                                               SolveContext& ctx) const;
   [[nodiscard]] PlannerReport plan_multi_heuristic(const PlanInput& input,
                                                    SolveContext& ctx) const;
 

@@ -21,10 +21,12 @@
 // X/Y, tier-priced site aggregates (space on servers, power on kWh, labor on
 // admins, flat-mode WAN on megabits), and backup capex zeta * sum G_j.
 //
-// Time-expanded extension (FormulationOptions::horizon): every block above
-// is replicated per demand period t with "@p<t>"-suffixed variable and row
-// names, coefficients priced by the period-scaled cost model and weighted by
-// the period's duration, plus inter-period migration coupling
+// One builder covers every horizon (FormulationOptions::horizon). A static
+// plan is the one-period case: its blocks carry the classic names (x_0_3,
+// capacity_2, ...). A real horizon replicates every block above per demand
+// period t with "@p<t>"-suffixed names (T = 1 included), coefficients
+// priced by the period-scaled cost model and weighted by the period's
+// duration, plus inter-period migration coupling
 //
 //   MV_it >= X_ijt - X_ij(t-1)   for every site j       (MV_it in [0, 1])
 //
@@ -32,7 +34,8 @@
 // servers — the switching cost of "Optimal Algorithms for Right-Sizing Data
 // Centers". `lock_placement` instead shares one X (and Y) block across all
 // periods: the best *static* plan evaluated against the whole horizon, the
-// competitor the time-expanded plan must beat.
+// competitor the time-expanded plan must beat. Fixed-primary sizing (stage
+// 2 of the two-stage DR method) exists at a static horizon only.
 #pragma once
 
 #include <string>
@@ -53,7 +56,7 @@ enum class BackupSizing {
   kSharedJoint,
   /// Exact shared sizing with the primary assignment fixed (stage 2 of the
   /// two-stage method): G_b >= sum_{i: primary_i = a} S_i Y_ib, N^2 rows,
-  /// no J variables.
+  /// no J and no X variables. Static horizon only.
   kSharedFixedPrimary,
   /// Dedicated over-sizing G_b >= sum_i S_i Y_ib (upper bound; used as the
   /// stage-1 surrogate where J would be too large).
@@ -75,58 +78,55 @@ struct FormulationOptions {
   /// decode_plan: provision dedicated per-site sums instead of recomputing
   /// the single-failure sharing law (multi-failure planning).
   bool decode_dedicated_counts = false;
-  /// Non-null with a non-static horizon: build the time-expanded
-  /// multi-period MILP instead of the single-snapshot one. Incompatible
-  /// with kSharedFixedPrimary. The horizon must outlive the formulation.
+  /// The demand horizon the model covers; null means a static horizon (one
+  /// period, the caller's cost model, unsuffixed names). A non-static
+  /// horizon is incompatible with kSharedFixedPrimary. The horizon must
+  /// outlive the formulation.
   const PlanningHorizon* horizon = nullptr;
-  /// Time-expanded only: share one placement block across all periods (the
-  /// "best static plan over the horizon" competitor). No migration
-  /// variables are emitted.
+  /// Share one placement block across all periods (the "best static plan
+  /// over the horizon" competitor). No migration variables are emitted. At
+  /// a static horizon the model is the same either way.
   bool lock_placement = false;
 };
 
-/// The built model plus the variable maps needed to decode a solution.
+/// The built model plus the variable maps needed to decode a solution. A
+/// static horizon has the one period t = 0.
 struct Formulation {
   lp::Model model;
-  /// x[i][j] = variable index of X_ij, or -1 when the pair is disallowed /
-  /// fixed. With kSharedFixedPrimary no X variables exist. Static mode
-  /// only (time-expanded solutions decode through xt).
-  std::vector<std::vector<int>> x;
-  /// y[i][j] = variable index of Y_ij, or -1. Empty without DR.
-  std::vector<std::vector<int>> y;
-  /// g[j] = variable index of G_j. Empty without DR.
-  std::vector<int> g;
-  /// Time-expanded mode: xt[t][i][j] = X_ijt (with lock_placement every
-  /// period aliases the shared block). Empty in static mode; same shape
-  /// for yt / gt under DR.
+  /// xt[t][i][j] = variable index of X_ij in period t, or -1 when the pair
+  /// is disallowed or fixed (with kSharedFixedPrimary no X variables exist).
+  /// With lock_placement every period aliases the shared block.
   std::vector<std::vector<std::vector<int>>> xt;
+  /// yt[t][i][j] = Y_ij in period t, or -1; gt[t][j] = G_j in period t.
+  /// Empty without DR.
   std::vector<std::vector<std::vector<int>>> yt;
   std::vector<std::vector<int>> gt;
   /// move[t-1][i] = MV_it migration indicator for t >= 1, or -1 when the
   /// horizon charges no migration. Empty in static / locked mode.
   std::vector<std::vector<int>> move;
-
-  [[nodiscard]] bool is_time_expanded() const { return !xt.empty(); }
 };
 
 /// Builds the MILP. Throws InvalidInputError on inconsistent options (e.g.
-/// kSharedFixedPrimary without fixed_primary).
+/// kSharedFixedPrimary without fixed_primary, or over a non-static
+/// horizon).
 [[nodiscard]] Formulation build_formulation(const CostModel& cost,
                                             const FormulationOptions& options);
 
-/// Decodes solver values back into a Plan: reads X/Y, recomputes the backup
-/// counts exactly via the sharing law, and prices the plan with the cost
-/// model. Throws InvalidInputError if some group has no selected site.
+/// Decodes a one-period solve back into a Plan: reads X/Y, recomputes the
+/// backup counts exactly via the sharing law, and prices the plan with the
+/// cost model. Throws InvalidInputError if some group has no selected site
+/// or the formulation has more than one period.
 [[nodiscard]] Plan decode_plan(const CostModel& cost,
                                const Formulation& formulation,
                                const FormulationOptions& options,
                                const std::vector<double>& values,
                                const std::string& algorithm);
 
-/// Decodes a time-expanded solve into per-period plans, each re-priced
-/// exactly against its period-scaled cost model, and totals them with
-/// assemble_multi_period (weighted sums + the migration charge). Requires
-/// options.horizon; throws InvalidInputError otherwise.
+/// Decodes a time-expanded solve into per-period plans (the same per-period
+/// decode as decode_plan), each re-priced exactly against its period-scaled
+/// cost model, and totals them with assemble_multi_period (weighted sums +
+/// the migration charge). Requires a non-static options.horizon; throws
+/// InvalidInputError otherwise.
 [[nodiscard]] MultiPeriodPlan decode_multi_period_plan(
     const CostModel& cost, const Formulation& formulation,
     const FormulationOptions& options, const std::vector<double>& values,

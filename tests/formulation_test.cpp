@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/error.h"
 #include "common/random.h"
 #include "datagen/generators.h"
+#include "lp/lp_format.h"
 #include "milp/branch_and_bound.h"
 #include "planner/formulation.h"
 
@@ -242,10 +244,44 @@ TEST(Formulation, RejectsInconsistentOptions) {
   options.backup_sizing = BackupSizing::kSharedFixedPrimary;
   options.enable_dr = true;
   EXPECT_THROW((void)build_formulation(model, options), InvalidInputError);
+  // Fixed-primary sizing exists at a static horizon only, not even at T=1.
+  const std::vector<int> primary(
+      static_cast<std::size_t>(instance.num_groups()), 0);
+  options.fixed_primary = &primary;
+  const PlanningHorizon one_period = PlanningHorizon::uniform(1);
+  options.horizon = &one_period;
+  EXPECT_THROW((void)build_formulation(model, options), InvalidInputError);
+  options.horizon = nullptr;
   options.enable_dr = false;
   options.backup_sizing = BackupSizing::kSharedJoint;
   options.business_impact_omega = 0.0;
   EXPECT_THROW((void)build_formulation(model, options), InvalidInputError);
+}
+
+TEST(Formulation, HorizonOfOneIsTheStaticModelRenamed) {
+  // A static plan is the one-period horizon: the T=1 model (per-period or
+  // locked) differs from the static one only in its "_p0" name suffixes.
+  auto instance = small_instance(41);
+  instance.separations.push_back({1, 2});
+  const CostModel model(instance);
+  const PlanningHorizon one_period = PlanningHorizon::uniform(1);
+  for (const bool dr : {false, true}) {
+    FormulationOptions options;
+    options.enable_dr = dr;
+    options.business_impact_omega = 0.5;
+    const std::string static_text =
+        lp::write_lp(build_formulation(model, options).model);
+    options.horizon = &one_period;
+    for (const bool locked : {false, true}) {
+      options.lock_placement = locked;
+      std::string text = lp::write_lp(build_formulation(model, options).model);
+      for (std::size_t at = text.find("_p0"); at != std::string::npos;
+           at = text.find("_p0", at)) {
+        text.erase(at, 3);
+      }
+      EXPECT_EQ(text, static_text) << "dr=" << dr << " locked=" << locked;
+    }
+  }
 }
 
 TEST(Formulation, DecodeRejectsWrongValueVector) {
@@ -256,6 +292,14 @@ TEST(Formulation, DecodeRejectsWrongValueVector) {
   EXPECT_THROW(
       (void)decode_plan(model, f, options, std::vector<double>(3, 0.0), "x"),
       InvalidInputError);
+  // A two-period model is not a one-period plan.
+  const PlanningHorizon two_periods = PlanningHorizon::uniform(2);
+  options.horizon = &two_periods;
+  const Formulation expanded = build_formulation(model, options);
+  const std::vector<double> values(
+      static_cast<std::size_t>(expanded.model.num_variables()), 0.0);
+  EXPECT_THROW((void)decode_plan(model, expanded, options, values, "x"),
+               InvalidInputError);
 }
 
 }  // namespace
