@@ -16,6 +16,7 @@
 #include "common/logging.h"
 #include "common/progress.h"
 #include "common/thread_pool.h"
+#include "milp/node_store.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
@@ -28,6 +29,8 @@ using lp::LpSolution;
 using lp::LpStartBasis;
 using lp::Model;
 using lp::SolveStatus;
+using detail::Node;
+using detail::OpenNodes;
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
@@ -42,59 +45,6 @@ constexpr double kScoreEps = 1e-6;
 /// Scoring value for a branching direction a strong-branching probe proved
 /// infeasible (fixing the variable prunes the subtree outright).
 constexpr double kInfeasibleScore = 1e8;
-
-/// One open node: a set of tightened variable bounds plus the parent's
-/// relaxation value used for best-first ordering and the parent's optimal
-/// basis used to warm-start this node's LP (shared, not copied, between
-/// siblings). `branch_*` records how this node was created so its LP value
-/// can feed the branching variable's pseudocost.
-struct Node {
-  std::vector<double> lower;
-  std::vector<double> upper;
-  std::shared_ptr<const lp::BasisSnapshot> parent_basis;
-  double parent_bound = 0.0;
-  int depth = 0;
-  int branch_var = -1;
-  bool branch_up = false;
-  double branch_frac = 0.0;  // parent fractional part of branch_var
-};
-
-/// Open-node pool with hybrid selection: depth-first while no incumbent
-/// exists (plunging to a first integral leaf quickly), best-bound once one
-/// does (tightening the global bound for pruning and gap termination).
-class OpenNodes {
- public:
-  void push(std::shared_ptr<Node> node) { nodes_.push_back(std::move(node)); }
-
-  [[nodiscard]] bool empty() const { return nodes_.empty(); }
-
-  [[nodiscard]] int size() const { return static_cast<int>(nodes_.size()); }
-
-  /// Smallest parent bound among open nodes (the global bound).
-  [[nodiscard]] double best_bound() const {
-    double best = std::numeric_limits<double>::infinity();
-    for (const auto& node : nodes_) {
-      best = std::min(best, node->parent_bound);
-    }
-    return best;
-  }
-
-  std::shared_ptr<Node> pop(bool depth_first) {
-    std::size_t pick = nodes_.size() - 1;  // newest (deepest) by default
-    if (!depth_first) {
-      for (std::size_t k = 0; k < nodes_.size(); ++k) {
-        if (nodes_[k]->parent_bound < nodes_[pick]->parent_bound) pick = k;
-      }
-    }
-    std::shared_ptr<Node> node = std::move(nodes_[pick]);
-    nodes_[pick] = std::move(nodes_.back());
-    nodes_.pop_back();
-    return node;
-  }
-
- private:
-  std::vector<std::shared_ptr<Node>> nodes_;
-};
 
 /// Index of the most fractional integer variable, or -1 if all integral.
 int most_fractional(const Model& model, const std::vector<double>& values,
