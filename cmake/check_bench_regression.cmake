@@ -2,10 +2,12 @@
 # (BENCH_solver.json at the repo root) and fails when the branch-and-bound
 # node count or total LP iteration count of any matching BM_BranchAndBound*
 # configuration — the assignment MILPs and the deterministic time-expanded
-# multi-period solves — differs at all, or when the heuristic planner's
-# deterministic counters (BM_HeuristicFederal) differ at all. Node and
-# lp_iters counts are deterministic (unlike timings), so an exact fence is
-# safe in CI: a change that moves one pivot of the search shows here and
+# multi-period solves — differs at all, when the open-node peak
+# (open_nodes_peak, on the rows whose baseline carries it) differs at all,
+# or when the heuristic planner's deterministic counters
+# (BM_HeuristicFederal) differ at all. Node, lp_iters and open-node counts
+# are deterministic (unlike timings), so an exact fence is safe in CI: a
+# change that moves one pivot or one node of the search shows here and
 # must regenerate BENCH_solver.json with a stated reason. Driven by the
 # bench-smoke job:
 #   cmake -DCURRENT=<fresh.json> -DBASELINE=<BENCH_solver.json> \
@@ -65,9 +67,9 @@ function(is_iteration_row json i out)
   endif()
 endfunction()
 
-# Index the baseline: benchmark name -> {node, lp_iters} counts. A baseline
-# taken with --benchmark_repetitions also holds mean/median/stddev/cv rows;
-# only the per-iteration rows are indexed.
+# Index the baseline: benchmark name -> {nodes, lp_iters, open_nodes_peak}
+# counts. A baseline taken with --benchmark_repetitions also holds
+# mean/median/stddev/cv rows; only the per-iteration rows are indexed.
 string(JSON baseline_count LENGTH "${baseline_json}" "benchmarks")
 math(EXPR baseline_last "${baseline_count} - 1")
 foreach(i RANGE ${baseline_last})
@@ -77,7 +79,7 @@ foreach(i RANGE ${baseline_last})
     continue()
   endif()
   string(MD5 key "${name}")
-  foreach(counter nodes lp_iters)
+  foreach(counter nodes lp_iters open_nodes_peak)
     string(JSON value ERROR_VARIABLE json_err GET "${baseline_json}"
            "benchmarks" ${i} "${counter}")
     if(json_err STREQUAL "NOTFOUND")
@@ -105,7 +107,7 @@ foreach(i RANGE ${current_last})
     message(STATUS "no baseline for ${name}; skipping (new configuration)")
     continue()
   endif()
-  foreach(counter nodes lp_iters)
+  foreach(counter nodes lp_iters open_nodes_peak)
     if(NOT DEFINED baseline_${counter}_${key})
       continue()
     endif()
@@ -134,7 +136,7 @@ if(checked EQUAL 0)
 endif()
 
 message(STATUS "bench regression check OK: ${checked} configurations match "
-               "the committed node and lp_iters counts")
+               "the committed node, lp_iters and open-node counts")
 
 # ---------------------------------------------------------------------------
 # Heuristic planner fence: BM_HeuristicFederal's seeds_raced,

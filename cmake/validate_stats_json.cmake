@@ -157,8 +157,10 @@ message(STATUS "exact-engine stats OK: ${simplex_calls} simplex calls, "
 
 # The cut-and-branch pipeline must be visible in the same tree: a 'cuts'
 # child under branch_and_bound with the round/pool tallies, plus the
-# pseudocost branching counters on the branch_and_bound node itself.
-foreach(metric nodes strong_branch_probes pseudocost_updates)
+# pseudocost branching counters and the open-node storage peaks on the
+# branch_and_bound node itself.
+foreach(metric nodes strong_branch_probes pseudocost_updates open_nodes_peak
+        node_bytes)
   string(JSON value ERROR_VARIABLE json_err GET "${bnb}" "metrics" "${metric}")
   if(NOT json_err STREQUAL "NOTFOUND")
     message(FATAL_ERROR "branch_and_bound stats missing metric '${metric}'")
@@ -169,6 +171,13 @@ foreach(metric nodes strong_branch_probes pseudocost_updates)
   endif()
   set(bnb_${metric} "${value}")
 endforeach()
+
+# Every open node was pushed by the root or by an expanded node, and each
+# expansion pops one node and pushes at most two.
+if(bnb_open_nodes_peak GREATER bnb_nodes)
+  message(FATAL_ERROR "branch_and_bound open_nodes_peak (${bnb_open_nodes_peak}) "
+                      "> nodes (${bnb_nodes})")
+endif()
 
 set(cuts "")
 foreach(i RANGE ${bnb_last})
@@ -201,4 +210,5 @@ message(STATUS "cut/branching stats OK: ${cuts_rounds} cut rounds, "
                "${cuts_generated} generated / ${cuts_applied} applied / "
                "${cuts_purged} purged; ${bnb_strong_branch_probes} probes, "
                "${bnb_pseudocost_updates} pseudocost updates over "
-               "${bnb_nodes} nodes")
+               "${bnb_nodes} nodes, at most ${bnb_open_nodes_peak} open in "
+               "${bnb_node_bytes} bytes")

@@ -29,7 +29,9 @@ using lp::LpSolution;
 using lp::LpStartBasis;
 using lp::Model;
 using lp::SolveStatus;
+using detail::BoundChange;
 using detail::Node;
+using detail::NodeBounds;
 using detail::OpenNodes;
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
@@ -165,7 +167,8 @@ constexpr int kDeterministicWidth = 8;
 /// mutable state: a SolveContext of its own (SolveScope nesting is
 /// stack-like and must stay single-threaded; cancellation is linked back to
 /// the solve's context and the deadline is copied), its own PreparedLp over
-/// the (possibly cut-strengthened) tree model, and its own LpEngines.
+/// the (possibly cut-strengthened) tree model, its own LpEngines, and the
+/// working bounds its node and probe LPs materialize into.
 /// Per-slot PreparedLps are built from the same model, so their internal
 /// column/row layout is identical — which is what lets a BasisSnapshot
 /// produced on one slot warm-start a child node on another with
@@ -187,6 +190,7 @@ struct LpSlot {
   lp::PreparedLp prep;
   LpEngine engine;
   LpEngine sb_engine;
+  NodeBounds bounds;
   long long nodes = 0;  // node LPs solved on this slot
   long long lp_iterations = 0;
   long long warm_started = 0;
@@ -669,6 +673,8 @@ MilpSolution BranchAndBoundSolver::solve_impl(
   std::atomic<long long> pseudocost_updates{0};
   std::atomic<long long> strong_branch_probes{0};
   std::atomic<int> probe_budget{options_.branching.max_strong_branch_probes};
+  // Working bounds of the solve's own engine; slots have their own.
+  NodeBounds own_bounds;
   // Simplex iterations spent by probes on the solve's own engine; slots
   // tally their own.
   long long seq_probe_iters = 0;
@@ -696,17 +702,17 @@ MilpSolution BranchAndBoundSolver::solve_impl(
                                    double node_bound, int j, bool up,
                                    double frac_moved,
                                    LpSlot* w) -> double {
-    std::vector<double> lower = node.lower;
-    std::vector<double> upper = node.upper;
+    NodeBounds& b = w != nullptr ? w->bounds : own_bounds;
+    materialize(node, root_lower, root_upper, b);
     const double v = relaxed.values[static_cast<std::size_t>(j)];
     if (up) {
-      lower[static_cast<std::size_t>(j)] = std::ceil(v);
+      b.lower[static_cast<std::size_t>(j)] = std::ceil(v);
     } else {
-      upper[static_cast<std::size_t>(j)] = std::floor(v);
+      b.upper[static_cast<std::size_t>(j)] = std::floor(v);
     }
     const LpSolution sol =
         (w != nullptr ? w->sb_engine : sb_solver)
-            .solve(w != nullptr ? w->prep : *prep, lower, upper,
+            .solve(w != nullptr ? w->prep : *prep, b.lower, b.upper,
                    w != nullptr ? w->ctx : ctx,
                    LpStartBasis(relaxed.basis.get(),
                                 LpStartBasis::Origin::kBoundChange));
@@ -857,14 +863,24 @@ MilpSolution BranchAndBoundSolver::solve_impl(
                      : most_fractional(model, relaxed.values, integrality_tol);
   };
 
+  // Bytes held by live BoundChange records. Records are made and released
+  // on this thread only (pool threads read nodes by reference), and the
+  // count outlives every record: it is declared before `open` and `batch`.
+  long long chain_bytes = 0;
+  const detail::TallyAllocator<BoundChange> chain_alloc(&chain_bytes);
   OpenNodes open;
+  long long open_nodes_peak = 0;
+  long long node_bytes_peak = 0;
+  const auto note_open_peak = [&]() {
+    open_nodes_peak = std::max<long long>(open_nodes_peak, open.size());
+    node_bytes_peak = std::max(node_bytes_peak, open.bytes() + chain_bytes);
+  };
   {
-    auto root_node = std::make_shared<Node>();
-    root_node->lower = root_lower;
-    root_node->upper = root_upper;
+    auto root_node = std::make_unique<Node>();
     root_node->parent_basis = root.basis;
     root_node->parent_bound = sense_sign * root.objective;
     open.push(std::move(root_node));
+    note_open_peak();
   }
 
   const auto gap_closed = [&]() {
@@ -874,45 +890,43 @@ MilpSolution BranchAndBoundSolver::solve_impl(
   };
 
   // Pushes the down (x_j <= floor(v)) and up (x_j >= ceil(v)) children of a
-  // branched node.
+  // branched node, each one BoundChange below the node's chain.
   const auto push_children = [&](const Node& node, const LpSolution& relaxed,
                                  double node_bound, int j) {
+    materialize(node, root_lower, root_upper, own_bounds);
     const double v = relaxed.values[static_cast<std::size_t>(j)];
     const double frac = v - std::floor(v);
     for (const bool up : {false, true}) {
-      auto child = std::make_shared<Node>();
-      child->lower = node.lower;
-      child->upper = node.upper;
-      if (up) {
-        child->lower[static_cast<std::size_t>(j)] = std::ceil(v);
-      } else {
-        child->upper[static_cast<std::size_t>(j)] = std::floor(v);
-      }
+      std::shared_ptr<const BoundChange> change = detail::branch_change(
+          node, own_bounds, j, up, up ? std::ceil(v) : std::floor(v),
+          chain_alloc);
+      if (change == nullptr) continue;
+      auto child = std::make_unique<Node>();
+      child->bounds = std::move(change);
       child->parent_basis = relaxed.basis;
       child->parent_bound = node_bound;
       child->depth = node.depth + 1;
       child->branch_var = j;
       child->branch_up = up;
       child->branch_frac = frac;
-      if (child->lower[static_cast<std::size_t>(j)] <=
-          child->upper[static_cast<std::size_t>(j)]) {
-        open.push(std::move(child));
-      }
+      open.push(std::move(child));
     }
+    note_open_peak();
   };
 
   // A node's LP on slot `w`, or on the solve's own engine when `w` is null
   // (like the root). Slots tally privately; the tallies fold into the solve
   // once the search ends, so iterations are never double counted.
   const auto solve_tree_node = [&](LpSlot* w, const Node& node) {
+    NodeBounds& b = w != nullptr ? w->bounds : own_bounds;
+    materialize(node, root_lower, root_upper, b);
     if (w == nullptr) {
-      LpSolution lp =
-          solve_node(node.lower, node.upper, node.parent_basis.get());
+      LpSolution lp = solve_node(b.lower, b.upper, node.parent_basis.get());
       result.lp_iterations += lp.iterations;
       return lp;
     }
     LpSolution lp = w->engine.solve(
-        w->prep, node.lower, node.upper, w->ctx,
+        w->prep, b.lower, b.upper, w->ctx,
         LpStartBasis(options_.search.warm_start_nodes ? node.parent_basis.get()
                                                       : nullptr,
                      LpStartBasis::Origin::kBoundChange));
@@ -1023,7 +1037,7 @@ MilpSolution BranchAndBoundSolver::solve_impl(
   // Each step pops up to `width` nodes, pruning at pop time (pruned pops do
   // not count as nodes), solves their LPs — on the pool when there is one,
   // node k on slot k — and applies the outcomes in dequeue order.
-  std::vector<std::shared_ptr<Node>> batch;
+  std::vector<std::unique_ptr<Node>> batch;
   std::vector<LpSolution> batch_sols(static_cast<std::size_t>(width));
   while (!open.empty()) {
     refresh_batch_span();
@@ -1056,7 +1070,7 @@ MilpSolution BranchAndBoundSolver::solve_impl(
         std::min(width, options_.search.max_nodes - result.nodes);
     batch.clear();
     while (!open.empty() && static_cast<int>(batch.size()) < step_width) {
-      std::shared_ptr<Node> node = open.pop(/*depth_first=*/!have_incumbent);
+      std::unique_ptr<Node> node = open.pop(/*depth_first=*/!have_incumbent);
       if (have_incumbent && node->parent_bound >= incumbent - 1e-12) {
         continue;  // pruned by bound
       }
@@ -1144,6 +1158,8 @@ MilpSolution BranchAndBoundSolver::solve_impl(
   stats.add("strong_branch_probes", static_cast<double>(probes));
   stats.add("pseudocost_updates",
             static_cast<double>(pseudocost_updates.load()));
+  stats.add("open_nodes_peak", static_cast<double>(open_nodes_peak));
+  stats.add("node_bytes", static_cast<double>(node_bytes_peak));
   if (telemetry::MetricsRegistry* mreg = ctx.metrics();
       mreg != nullptr && probes > 0) {
     mreg->counter("etransform_milp_strong_branch_probes_total",

@@ -12,6 +12,9 @@
 // is best-first by parent relaxation bound, which keeps the global lower
 // bound tight and enables early termination at a requested gap. A
 // depth-limited diving heuristic runs at the root to seed the incumbent.
+// An open node stores its bounds as a shared chain of branching decisions,
+// replayed over the root bounds into per-engine buffers when its LP runs
+// (milp/node_store.h), so a node costs bytes, not two bound vectors.
 //
 // One search loop: each step pops one node (eight when
 // SearchOptions::deterministic is set), solves the node LPs, and applies

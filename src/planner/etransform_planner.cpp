@@ -218,8 +218,15 @@ PlannerReport EtransformPlanner::plan_exact(const PlanInput& input,
   };
 
   std::shared_ptr<const lp::NamedBasis> named_root;
-  const milp::MilpSolution solution = solve_formulation_milp(
+  milp::MilpSolution solution = solve_formulation_milp(
       formulation.model, options_.milp, ctx, input.root_warm, &named_root);
+  // Shared DR sizing solved over the dedicated surrogate (two-stage stage 1,
+  // or a horizon over joint_dr_var_limit): the surrogate over-sizes
+  // backups, so its bound can exceed the shared-sizing optimum and its
+  // proof covers the surrogate only. The report claims neither.
+  const bool surrogate = options_.enable_dr && !joint_dr && !dedicated;
+  const bool tree_optimal = solution.status == milp::MilpStatus::kOptimal;
+  if (surrogate) solution.best_bound = std::numeric_limits<double>::quiet_NaN();
   switch (solution.status) {
     case milp::MilpStatus::kInfeasible:
       throw InfeasibleError("planner: instance admits no feasible plan");
@@ -254,22 +261,20 @@ PlannerReport EtransformPlanner::plan_exact(const PlanInput& input,
                               solution.values, "etransform");
   }
   report.used_exact_solver = true;
-  report.proven_optimal = solution.status == milp::MilpStatus::kOptimal;
+  report.proven_optimal = tree_optimal && !surrogate;
   report.lower_bound = solution.best_bound;
   report.milp_nodes = solution.nodes;
   report.root_basis = named_root;
   // Polish (static plans): a proven optimum cannot improve, but
   // budget-limited incumbents and shared-mode plans decoded from the
-  // dedicated surrogate often do. Budget-limited incumbents also race the
+  // dedicated surrogate often do. Budget-limited trees also race the
   // heuristic plan (solution-pool style) so a starved branch-and-bound
   // never returns something greedy would beat; locked solves have no
   // heuristic counterpart. A context-level interruption (deadline/cancel
   // still in force out here, unlike the MILP's own time_limit_ms) skips
   // both: the caller asked us to stop.
   const bool stopped = ctx.should_stop();
-  if (!multi_period && !stopped &&
-      (!report.proven_optimal ||
-       (options_.enable_dr && !joint_dr && !dedicated))) {
+  if (!multi_period && !stopped && !report.proven_optimal) {
     SolveScope polish_scope(ctx, "local_search");
     LocalSearchOptions polish = options_.local_search;
     polish.dedicated_backups = dedicated;
@@ -279,7 +284,7 @@ PlannerReport EtransformPlanner::plan_exact(const PlanInput& input,
     }
     improve_plan(model, report.plan, polish, &polish_scope.stats());
   }
-  if (!stopped && !report.proven_optimal && !input.lock_placement) {
+  if (!stopped && !tree_optimal && !input.lock_placement) {
     PlannerReport raced = heuristic();
     if (raced.objective() < report.objective()) {
       report.plan = std::move(raced.plan);

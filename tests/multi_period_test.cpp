@@ -216,6 +216,36 @@ TEST(MultiPeriod, HeuristicFallbackKeepsTheTreesNodesAndBound) {
   expect_periods_feasible(instance, rightsizing_curve(), report.multi);
 }
 
+TEST(MultiPeriod, DrSurrogateClaimsNeitherProofNorBound) {
+  // A J limit of 0 puts shared DR sizing on the dedicated-sizing
+  // surrogate. The surrogate over-sizes backups, so the tree that proves it
+  // optimal proves nothing about the shared plan, and its bound can exceed
+  // the shared optimum.
+  Rng rng(7300);
+  const auto instance = make_random_instance(rng, 4, 3, 2);
+  const CostModel model(instance);
+  PlanningHorizon horizon;
+  horizon.periods.resize(2);
+  horizon.periods[0].multiplier = 1.0;
+  horizon.periods[1].multiplier = 0.5;
+  horizon.migration_cost_per_server = 3.0;
+  PlannerOptions options;
+  options.engine = PlannerOptions::Engine::kExact;
+  options.enable_dr = true;
+  options.joint_dr_var_limit = 0;
+  const PlannerReport shared = run_planner(model, horizon, options);
+  // The same tree under dedicated sizing, where the surrogate is the model.
+  options.dr_sizing = PlannerOptions::DrSizing::kDedicated;
+  const PlannerReport dedicated = run_planner(model, horizon, options);
+  ASSERT_TRUE(dedicated.proven_optimal);
+  ASSERT_TRUE(std::isfinite(dedicated.lower_bound));
+  EXPECT_EQ(shared.milp_nodes, dedicated.milp_nodes);
+  EXPECT_TRUE(shared.used_exact_solver);
+  EXPECT_FALSE(shared.proven_optimal);
+  EXPECT_TRUE(std::isnan(shared.lower_bound));
+  expect_periods_feasible(instance, horizon, shared.multi);
+}
+
 TEST(MultiPeriod, DeterministicSearchStaysWithinItsNodeBudget) {
   // Deterministic search expands up to 8 nodes per step; a step must not
   // take more than the budget has left.

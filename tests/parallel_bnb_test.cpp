@@ -1,8 +1,8 @@
 // Tests for the branch-and-bound search on a thread pool: the thread count
 // never changes the explored tree (either search width), the two widths
 // agree with each other and with brute force, cross-thread cancellation
-// mid-search, and the per-slot stats a pooled search stamps under
-// "parallel".
+// mid-search, the per-slot stats a pooled search stamps under "parallel",
+// and the bytes an open node holds on a 2,000-column MILP.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -314,6 +314,29 @@ TEST(DeterministicSearch, CancellationUnwinds) {
   };
   const MilpSolution s = solver.solve(model, ctx);
   EXPECT_EQ(s.status, MilpStatus::kCancelled);
+}
+
+TEST(NodeStorage, OpenNodesHoldNoBoundVectors) {
+  // 2,000 binaries: a node holding its own lower and upper vectors would
+  // cost 32,000 bytes. A chained node costs its entry, its Node and one
+  // BoundChange record, on slots and on the solve's own engine alike.
+  const Model model = assignment_milp(500, 4, 41);
+  ASSERT_GE(model.num_variables(), 2000);
+  for (const int threads : {1, 2}) {
+    SolverOptions options;
+    options.search.max_nodes = 120;
+    options.search.threads = threads;
+    options.search.deterministic = threads > 1;
+    const BranchAndBoundSolver solver(options);
+    SolveContext ctx;
+    const MilpSolution solution = solver.solve(model, ctx);
+    EXPECT_EQ(solution.nodes, 120) << "threads " << threads;
+    const double peak = solution.stats.metric("open_nodes_peak");
+    const double bytes = solution.stats.metric("node_bytes");
+    ASSERT_GE(peak, 10.0) << "threads " << threads;
+    EXPECT_LE(peak, solution.nodes) << "threads " << threads;
+    EXPECT_LT(bytes / peak, 256.0) << "threads " << threads;
+  }
 }
 
 }  // namespace
