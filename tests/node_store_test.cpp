@@ -112,6 +112,11 @@ TEST(OpenNodes, EmptyStoreHasInfiniteBound) {
   EXPECT_EQ(open.best_bound(), std::numeric_limits<double>::infinity());
 }
 
+// The per-node record stays a few pointers wide: two bound vectors in it
+// would add 48 bytes here and 16 bytes per column on the heap, which
+// node_bytes (sizeof-based) would not see.
+static_assert(sizeof(Node) <= 64, "an open node must not own per-column data");
+
 // A node as the search built it before chains: full bound vectors,
 // copied from the parent and tightened on the branching variable.
 struct CopiedNode {
