@@ -11,6 +11,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -117,6 +118,13 @@ TEST(OpenNodes, EmptyStoreHasInfiniteBound) {
 // node_bytes (sizeof-based) would not see.
 static_assert(sizeof(Node) <= 64, "an open node must not own per-column data");
 
+// Four binaries, a general integer in [0, 10] and a free continuous
+// column that is never branched on.
+constexpr int kGeneral = 4;
+constexpr double kInf = std::numeric_limits<double>::infinity();
+const std::vector<double> kRootLower = {0.0, 0.0, 0.0, 0.0, 0.0, -kInf};
+const std::vector<double> kRootUpper = {1.0, 1.0, 1.0, 1.0, 10.0, kInf};
+
 // A node as the search built it before chains: full bound vectors,
 // copied from the parent and tightened on the branching variable.
 struct CopiedNode {
@@ -135,11 +143,9 @@ bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
 // children that exist.
 std::vector<CopiedNode> branch_both_ways(
     const CopiedNode& parent, int var, double v,
-    const std::vector<double>& root_lower,
-    const std::vector<double>& root_upper,
     const TallyAllocator<BoundChange>& alloc) {
   NodeBounds parent_bounds;
-  materialize(parent.node, root_lower, root_upper, parent_bounds);
+  materialize(parent.node, kRootLower, kRootUpper, parent_bounds);
   std::vector<CopiedNode> children;
   for (const bool up : {false, true}) {
     CopiedNode child;
@@ -164,21 +170,12 @@ std::vector<CopiedNode> branch_both_ways(
   return children;
 }
 
-void expect_materializes_to_copy(const CopiedNode& n,
-                                 const std::vector<double>& root_lower,
-                                 const std::vector<double>& root_upper) {
+void expect_materializes_to_copy(const CopiedNode& n) {
   NodeBounds bounds;
-  materialize(n.node, root_lower, root_upper, bounds);
+  materialize(n.node, kRootLower, kRootUpper, bounds);
   EXPECT_TRUE(same_bits(bounds.lower, n.lower)) << "depth " << n.node.depth;
   EXPECT_TRUE(same_bits(bounds.upper, n.upper)) << "depth " << n.node.depth;
 }
-
-// Four binaries, a general integer in [0, 10] and a free continuous
-// column that is never branched on.
-constexpr int kGeneral = 4;
-constexpr double kInf = std::numeric_limits<double>::infinity();
-const std::vector<double> kRootLower = {0.0, 0.0, 0.0, 0.0, 0.0, -kInf};
-const std::vector<double> kRootUpper = {1.0, 1.0, 1.0, 1.0, 10.0, kInf};
 
 TEST(BoundChain, GeneralIntegerBranchedTwiceEachWayMatchesCopies) {
   long long chain_bytes = 0;
@@ -192,11 +189,11 @@ TEST(BoundChain, GeneralIntegerBranchedTwiceEachWayMatchesCopies) {
     for (const auto& [v, take_up] :
          std::vector<std::pair<double, bool>>{
              {7.5, false}, {3.2, false}, {0.4, true}, {2.6, true}}) {
-      std::vector<CopiedNode> children = branch_both_ways(
-          node, kGeneral, v, kRootLower, kRootUpper, alloc);
+      std::vector<CopiedNode> children =
+          branch_both_ways(node, kGeneral, v, alloc);
       ASSERT_EQ(children.size(), 2u);
       for (const CopiedNode& child : children) {
-        expect_materializes_to_copy(child, kRootLower, kRootUpper);
+        expect_materializes_to_copy(child);
       }
       node = std::move(children[take_up ? 1 : 0]);
     }
@@ -205,10 +202,8 @@ TEST(BoundChain, GeneralIntegerBranchedTwiceEachWayMatchesCopies) {
     EXPECT_EQ(node.node.depth, 4);
     // x is now fixed at 3: values off that point cross its bounds on one
     // side, and that child is never made.
-    EXPECT_EQ(branch_both_ways(node, kGeneral, 3.5, kRootLower, kRootUpper,
-                               alloc).size(), 1u);
-    EXPECT_EQ(branch_both_ways(node, kGeneral, 2.5, kRootLower, kRootUpper,
-                               alloc).size(), 1u);
+    EXPECT_EQ(branch_both_ways(node, kGeneral, 3.5, alloc).size(), 1u);
+    EXPECT_EQ(branch_both_ways(node, kGeneral, 2.5, alloc).size(), 1u);
     EXPECT_GT(chain_bytes, 0);
   }
   EXPECT_EQ(chain_bytes, 0) << "every record is released with its nodes";
@@ -232,7 +227,7 @@ TEST(BoundChain, RandomBranchingMatchesCopiedBounds) {
       const CopiedNode parent = std::move(open[k]);
       if (k + 1 != open.size()) open[k] = std::move(open.back());
       open.pop_back();
-      expect_materializes_to_copy(parent, kRootLower, kRootUpper);
+      expect_materializes_to_copy(parent);
       const int var = static_cast<int>(rng.uniform_int(0, kGeneral));
       const auto col = static_cast<std::size_t>(var);
       const double lo = parent.lower[col];
@@ -244,7 +239,7 @@ TEST(BoundChain, RandomBranchingMatchesCopiedBounds) {
                        : u < 0.2  ? hi + 0.5
                                   : lo + (hi - lo) * rng.uniform();
       std::vector<CopiedNode> children =
-          branch_both_ways(parent, var, v, kRootLower, kRootUpper, alloc);
+          branch_both_ways(parent, var, v, alloc);
       crossed += 2 - static_cast<int>(children.size());
       // Keep the open set small so chains grow deep.
       for (CopiedNode& child : children) {
@@ -253,7 +248,7 @@ TEST(BoundChain, RandomBranchingMatchesCopiedBounds) {
     }
     EXPECT_GT(crossed, 0) << "seed " << seed;
     for (const CopiedNode& n : open) {
-      expect_materializes_to_copy(n, kRootLower, kRootUpper);
+      expect_materializes_to_copy(n);
     }
   }
   EXPECT_EQ(chain_bytes, 0);
