@@ -194,19 +194,18 @@ BENCHMARK(BM_BranchAndBoundAssignment)
     ->ArgsProduct({{12, 20}, {0, 1}, {0, 1}, {0, 1}})
     ->ArgNames({"tasks", "warm", "cuts", "dual"});
 
-// Thread scaling of the parallel tree search on the production
-// configuration (warm starts, cuts, dual reoptimization). The explored tree
-// is byte-identical at every thread count at any search width; the 8-node
-// width (`deterministic`) is used because it keeps up to eight node LPs in
-// flight, so the real_time ratio between threads:1 and threads:8 is a pure
-// measure of parallel LP throughput — exactly what the CI speedup fence in
-// cmake/check_bench_regression.cmake wants. The objective is still
-// cross-checked against the one-node-per-step optimum.
+// Probe parallelism on the production configuration (warm starts, cuts,
+// dual reoptimization): node LPs run one at a time on the solving thread
+// and `threads` only spreads each node's strong-branching probes over the
+// pool, so the real_time ratio between threads:1 and threads:N measures
+// what the probes gain. The explored tree is byte-identical at every
+// thread count, so the nodes and lp_iters counters are fenced like every
+// other BM_BranchAndBound* row; the objective is cross-checked against a
+// default (one-thread) solve.
 void BM_BranchAndBoundAssignmentThreads(benchmark::State& state) {
   const auto model = assignment_milp(static_cast<int>(state.range(0)), 4);
   milp::SolverOptions options;
   options.search.threads = static_cast<int>(state.range(1));
-  options.search.deterministic = true;
   const milp::BranchAndBoundSolver solver(options);
   const double reference = [&model] {
     const milp::BranchAndBoundSolver sequential;
@@ -288,10 +287,10 @@ BENCHMARK(BM_PlannerEnterprise1)
     ->Repetitions(1);
 
 // Time-expanded multi-period MILP on the right-sizing estate: T per-period
-// placement blocks coupled by migration move variables. The explored tree
-// does not depend on the thread count, so the nodes, lp_iters and
-// open_nodes_peak counters feed the same CI regression fence as the
-// assignment MILPs.
+// placement blocks coupled by migration move variables, solved with the
+// planner's default search (the same tree as perfbench's multiperiod-t4).
+// The nodes, lp_iters and open_nodes_peak counters feed the same CI
+// regression fence as the assignment MILPs.
 void BM_BranchAndBoundMultiPeriod(benchmark::State& state) {
   const auto instance = make_rightsizing_estate({});
   const CostModel model(instance);
@@ -303,7 +302,6 @@ void BM_BranchAndBoundMultiPeriod(benchmark::State& state) {
   PlannerOptions options;
   options.engine = PlannerOptions::Engine::kExact;
   options.milp.search.time_limit_ms = 20000;
-  options.milp.search.deterministic = true;
   const EtransformPlanner planner(options);
   long long lp_iterations = 0;
   long long nodes = 0;

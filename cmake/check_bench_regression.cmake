@@ -12,12 +12,6 @@
 # bench-smoke job:
 #   cmake -DCURRENT=<fresh.json> -DBASELINE=<BENCH_solver.json> \
 #         -P check_bench_regression.cmake
-#
-# When the machine that produced CURRENT has at least 8 CPUs, the parallel
-# tree search's 8-thread run of BM_BranchAndBoundAssignmentThreads must also
-# clear a minimum real-time speedup over its 1-thread run (SPEEDUP_MIN,
-# default 4x). On smaller runners the fence is reported but not enforced —
-# a 1-CPU container cannot express an 8-way speedup.
 # Requires CMake >= 3.19 for string(JSON).
 cmake_minimum_required(VERSION 3.19)
 
@@ -192,98 +186,4 @@ endforeach()
 if(exact_checked EQUAL 0)
   message(FATAL_ERROR "no BM_HeuristicFederal run to check against the "
                       "baseline; name scheme drift?")
-endif()
-
-# ---------------------------------------------------------------------------
-# Parallel tree-search speedup fence.
-
-if(NOT DEFINED SPEEDUP_MIN)
-  set(SPEEDUP_MIN 4)
-endif()
-
-# Parses a google-benchmark float ("2.6798632743279554e+05") into integer
-# nanoseconds, truncating sub-nanosecond digits. Unlike parse_counter this
-# accepts negative decimal shifts, which timing values always have.
-function(parse_time_ns value out)
-  if(NOT value MATCHES "^([0-9]+)(\\.([0-9]*))?([eE]\\+?(-?[0-9]+))?$")
-    message(FATAL_ERROR "unparseable time value '${value}'")
-  endif()
-  set(whole "${CMAKE_MATCH_1}")
-  set(frac "${CMAKE_MATCH_3}")
-  set(exponent "${CMAKE_MATCH_5}")
-  if(exponent STREQUAL "")
-    set(exponent 0)
-  endif()
-  string(LENGTH "${frac}" frac_len)
-  set(digits "${whole}${frac}")
-  math(EXPR shift "${exponent} - ${frac_len}")
-  if(shift GREATER_EQUAL 0)
-    string(REPEAT "0" ${shift} zeros)
-    set(digits "${digits}${zeros}")
-  else()
-    math(EXPR drop "0 - ${shift}")
-    string(LENGTH "${digits}" digits_len)
-    if(drop GREATER_EQUAL digits_len)
-      set(digits 0)
-    else()
-      math(EXPR keep "${digits_len} - ${drop}")
-      string(SUBSTRING "${digits}" 0 ${keep} digits)
-    endif()
-  endif()
-  math(EXPR digits "${digits} + 0")  # canonicalize (drops leading zeros)
-  set(${out} "${digits}" PARENT_SCOPE)
-endfunction()
-
-string(JSON num_cpus ERROR_VARIABLE cpus_err GET "${current_json}"
-       "context" "num_cpus")
-if(NOT cpus_err STREQUAL "NOTFOUND")
-  set(num_cpus 0)
-endif()
-
-set(threads_rt_1 "")
-set(threads_rt_8 "")
-foreach(i RANGE ${current_last})
-  string(JSON name GET "${current_json}" "benchmarks" ${i} "name")
-  is_iteration_row("${current_json}" ${i} iteration)
-  if(NOT name MATCHES "^BM_BranchAndBoundAssignmentThreads/" OR NOT iteration)
-    continue()
-  endif()
-  string(JSON rt GET "${current_json}" "benchmarks" ${i} "real_time")
-  if(name MATCHES "threads:1(/|$)")
-    parse_time_ns("${rt}" threads_rt_1)
-  elseif(name MATCHES "threads:8(/|$)")
-    parse_time_ns("${rt}" threads_rt_8)
-  endif()
-endforeach()
-
-if(threads_rt_1 STREQUAL "" OR threads_rt_8 STREQUAL "")
-  message(STATUS "speedup fence: thread-scaling benchmarks absent from this "
-                 "run; skipping")
-elseif(threads_rt_8 EQUAL 0)
-  message(FATAL_ERROR "speedup fence: 8-thread real_time parsed as 0ns")
-else()
-  # Integer-only speedup in hundredths (e.g. 412 = 4.12x).
-  math(EXPR speedup_x100 "${threads_rt_1} * 100 / ${threads_rt_8}")
-  math(EXPR speedup_whole "${speedup_x100} / 100")
-  math(EXPR speedup_frac "${speedup_x100} % 100")
-  string(LENGTH "${speedup_frac}" frac_width)
-  if(frac_width EQUAL 1)
-    set(speedup_frac "0${speedup_frac}")
-  endif()
-  math(EXPR required_x100 "${SPEEDUP_MIN} * 100")
-  if(num_cpus GREATER_EQUAL 8)
-    if(speedup_x100 LESS required_x100)
-      message(FATAL_ERROR
-              "parallel speedup regression: 8-thread tree search is "
-              "${speedup_whole}.${speedup_frac}x over 1 thread "
-              "(minimum ${SPEEDUP_MIN}x on this ${num_cpus}-CPU machine)")
-    endif()
-    message(STATUS "speedup fence OK: 8 threads = "
-                   "${speedup_whole}.${speedup_frac}x over 1 thread "
-                   "(minimum ${SPEEDUP_MIN}x, ${num_cpus} CPUs)")
-  else()
-    message(STATUS "speedup fence: 8 threads = "
-                   "${speedup_whole}.${speedup_frac}x over 1 thread; not "
-                   "enforced on a ${num_cpus}-CPU machine (needs >= 8)")
-  endif()
 endif()

@@ -28,11 +28,9 @@
 //       --jobs N           solve on N worker threads: scenario sweeps and
 //                          the sensitivity scan fan out across a SolveService
 //       --threads N        in-solve parallelism: run each exact solve's
-//                          node LPs and strong-branching probes on N pool
-//                          threads (composes with --jobs; 0 = hardware);
-//                          the explored tree is identical at every value
-//       --deterministic    pop 8 nodes per search step instead of 1, so up
-//                          to 8 node LPs run at once
+//                          strong-branching probes on N pool threads
+//                          (composes with --jobs; 0 = hardware); the
+//                          explored tree is identical at every value
 //       --sweep key=v1,v2  run a what-if sweep instead of a single plan; keys
 //                          are omega, dr-cost, latency-penalty, cuts
 //                          (races the four cut configurations) and horizon
@@ -103,7 +101,7 @@ int usage() {
       "      [--horizon N] [--traffic-curve diurnal|seasonal]\n"
       "      [--peak X] [--trough X] [--migration-cost R]\n"
       "      [--static-horizon] [--online lazy|prob]\n"
-      "      [--jobs N] [--threads N] [--deterministic]\n"
+      "      [--jobs N] [--threads N]\n"
       "      [--sweep omega|dr-cost|latency-penalty|cuts|horizon=...]\n"
       "      [--race]\n"
       "  --cuts selects the root cutting-plane configuration for exact\n"
@@ -114,13 +112,11 @@ int usage() {
       "  dual simplex on dual-feasible warm restarts — node re-solves and\n"
       "  cut rounds — primal otherwise; primal/dual force one algorithm).\n"
       "  --jobs runs N *solves* concurrently (SolveFarm: sweeps, races, the\n"
-      "  sensitivity scan); --threads runs each exact solve's node LPs and\n"
+      "  sensitivity scan); --threads runs each exact solve's\n"
       "  strong-branching probes on N pool threads (they compose: 4 jobs x\n"
       "  8 threads = up to 32 LPs in flight); the explored tree, node count,\n"
       "  and iterations are identical at any --threads, and --threads 0 uses\n"
-      "  one thread per hardware thread. --deterministic pops 8 nodes per\n"
-      "  search step instead of 1, so up to 8 node LPs run at once (a\n"
-      "  different tree, same contract).\n"
+      "  one thread per hardware thread.\n"
       "  --lp-out writes the MILP over the planned horizon (and\n"
       "  --static-horizon lock) in CPLEX LP format; under --dr the file\n"
       "  holds the joint shared-sizing model, which the planner replaces\n"
@@ -398,8 +394,6 @@ int cmd_plan(int argc, char** argv) {
       if (jobs < 1) return usage();
     } else if (flag == "--threads" && a + 1 < argc) {
       options.milp.search.threads = std::stoi(argv[++a]);
-    } else if (flag == "--deterministic") {
-      options.milp.search.deterministic = true;
     } else if (flag == "--sweep" && a + 1 < argc) {
       sweep_specs.push_back(argv[++a]);
     } else if (flag == "--race") {

@@ -158,26 +158,20 @@ int resolve_threads(int requested) {
   return hardware > 0 ? static_cast<int>(hardware) : 1;
 }
 
-/// Nodes dequeued per search step when SearchOptions::deterministic is set;
-/// otherwise the step is one node. Fixed independently of `threads` on
-/// purpose: the width shapes the explored tree, the thread count never does.
-constexpr int kDeterministicWidth = 8;
-
-/// Everything one pool slot owns privately, so LPs in flight never share
+/// Everything one pool slot owns privately, so probes in flight never share
 /// mutable state: a SolveContext of its own (SolveScope nesting is
 /// stack-like and must stay single-threaded; cancellation is linked back to
 /// the solve's context and the deadline is copied), its own PreparedLp over
-/// the (possibly cut-strengthened) tree model, its own LpEngines, and the
-/// working bounds its node and probe LPs materialize into.
-/// Per-slot PreparedLps are built from the same model, so their internal
-/// column/row layout is identical — which is what lets a BasisSnapshot
-/// produced on one slot warm-start a child node on another with
-/// LpStartBasis::Origin::kBoundChange, keeping the dual-simplex
-/// reoptimization path intact.
+/// the (possibly cut-strengthened) tree model, its own probe LpEngine, and
+/// the working bounds its probe LPs materialize into. Per-slot PreparedLps
+/// are built from the same model, so their internal column/row layout is
+/// identical — which is what lets a node basis produced on the solve's own
+/// engine warm-start a probe on any slot with
+/// LpStartBasis::Origin::kBoundChange.
 struct LpSlot {
-  LpSlot(const lp::Model& tree_model, const lp::SimplexOptions& lp_options,
-         const lp::SimplexOptions& sb_options, const SolveContext& parent)
-      : prep(tree_model), engine(lp_options), sb_engine(sb_options) {
+  LpSlot(const lp::Model& tree_model, const lp::SimplexOptions& sb_options,
+         const SolveContext& parent)
+      : prep(tree_model), sb_engine(sb_options) {
     ctx.set_deadline(parent.deadline());
     ctx.link_cancel_to(parent);
     ctx.set_trace(parent.trace());
@@ -188,13 +182,9 @@ struct LpSlot {
 
   SolveContext ctx;
   lp::PreparedLp prep;
-  LpEngine engine;
   LpEngine sb_engine;
   NodeBounds bounds;
-  long long nodes = 0;  // node LPs solved on this slot
-  long long lp_iterations = 0;
-  long long warm_started = 0;
-  long long dual_reopt = 0;
+  long long lp_iterations = 0;  // probe pivots on this slot
 };
 
 }  // namespace
@@ -277,15 +267,15 @@ MilpSolution BranchAndBoundSolver::solve_impl(
     if (lp.used_dual) ++dual_reopt_nodes;
     return lp;
   };
-  // Every return path stamps the reoptimization tallies exactly once —
-  // cut rounds can run dual re-solves even when the strengthened root goes
-  // integral and the tree is never explored.
-  const auto stamp_reopt_counters = [&]() {
+  MilpSolution result;
+  // Every return path stamps the node count and the reoptimization tallies
+  // exactly once — cut rounds can run dual re-solves even when the
+  // strengthened root goes integral and the tree is never explored.
+  const auto stamp_counters = [&]() {
+    stats.add("nodes", result.nodes);
     stats.add("warm_started_nodes", static_cast<double>(warm_started_nodes));
     stats.add("dual_reopt_nodes", static_cast<double>(dual_reopt_nodes));
   };
-
-  MilpSolution result;
   const int n = model.num_variables();
   std::vector<double> root_lower(static_cast<std::size_t>(n));
   std::vector<double> root_upper(static_cast<std::size_t>(n));
@@ -304,6 +294,14 @@ MilpSolution BranchAndBoundSolver::solve_impl(
   double incumbent = 0.0;  // in internal (minimization) orientation
   std::vector<double> incumbent_values;
   double global_bound = -lp::kInfinity;
+  // Every return before the tree search: the status, the bound proven so
+  // far (unbounded below until the root LP is optimal) and the counters.
+  const auto finish = [&](MilpStatus status) {
+    result.status = status;
+    result.best_bound = sense_sign * global_bound;
+    stamp_counters();
+    return std::move(result);
+  };
 
   // Live progress: push a sample into the job's SolveProgress ring (when
   // attached) at every trace-worthy moment. Every publication happens on
@@ -404,24 +402,18 @@ MilpSolution BranchAndBoundSolver::solve_impl(
   ++result.nodes;
   switch (root.status) {
     case SolveStatus::kInfeasible:
-      result.status = MilpStatus::kInfeasible;
-      return result;
+      return finish(MilpStatus::kInfeasible);
     case SolveStatus::kUnbounded:
-      result.status = MilpStatus::kUnbounded;
-      return result;
-    case SolveStatus::kIterationLimit:
+      return finish(MilpStatus::kUnbounded);
     case SolveStatus::kNumericalError:
-      if (root.status == SolveStatus::kNumericalError) {
-        stats.add("numerical_nodes", 1.0);
-      }
-      result.status = MilpStatus::kNoSolutionFound;
-      return result;
+      stats.add("numerical_nodes", 1.0);
+      [[fallthrough]];
+    case SolveStatus::kIterationLimit:
+      return finish(MilpStatus::kNoSolutionFound);
     case SolveStatus::kTimeLimit:
     case SolveStatus::kCancelled:
       // Interrupted before any bound or incumbent existed.
-      result.status = milp_status_of_lp(root.status);
-      stats.add("nodes", result.nodes);
-      return result;
+      return finish(milp_status_of_lp(root.status));
     case SolveStatus::kOptimal:
       break;
   }
@@ -604,53 +596,32 @@ MilpSolution BranchAndBoundSolver::solve_impl(
         global_bound = sense_sign * root.objective;
         record_trace(global_bound);
       }
-    } else if (cut_interrupt) {
-      result.status = *cut_interrupt;
-      result.best_bound = sense_sign * global_bound;
-      stats.add("nodes", result.nodes);
-      stamp_reopt_counters();
-      return result;
-    } else {
+    } else if (!cut_interrupt) {
       // Clean-root restore failed numerically: no usable relaxation.
-      result.status = MilpStatus::kNoSolutionFound;
-      result.best_bound = sense_sign * global_bound;
-      stats.add("nodes", result.nodes);
-      stamp_reopt_counters();
-      return result;
+      return finish(MilpStatus::kNoSolutionFound);
     }
-    if (cut_interrupt) {
-      // Interrupted mid-loop but the (possibly strengthened) root is
-      // optimal: unwind with the valid bound.
-      result.status = *cut_interrupt;
-      result.best_bound = sense_sign * global_bound;
-      stats.add("nodes", result.nodes);
-      stamp_reopt_counters();
-      return result;
-    }
+    // Interrupted mid-loop: unwind with the valid bound of the (possibly
+    // strengthened) root.
+    if (cut_interrupt) return finish(*cut_interrupt);
   }
 
   if (all_integral(model, root.values, integrality_tol)) {
     try_incumbent(root.values, root.objective);
-    result.status = MilpStatus::kOptimal;
     result.objective = sense_sign * incumbent;
-    result.best_bound = sense_sign * global_bound;
     result.values = std::move(incumbent_values);
-    stats.add("nodes", result.nodes);
-    stamp_reopt_counters();
-    return result;
+    return finish(MilpStatus::kOptimal);
   }
   if (options_.search.root_dive) {
     dive(root_lower, root_upper, root);
   }
 
   // ---- branching machinery ----------------------------------------------
-  // Pool threads only ever run LPs: each step's node LPs and the
-  // strong-branching probes, each on a slot of its own. Everything else —
-  // pseudocost feedback, incumbents, branching, child pushes, events — runs
-  // on this thread in dequeue order, so `threads` never changes the tree.
-  // With one thread there is no pool and no slot: every LP runs on the
-  // solve's own engine and context, exactly like the root.
-  const int width = options_.search.deterministic ? kDeterministicWidth : 1;
+  // Every node LP runs on the solve's own engine and context, exactly like
+  // the root. Pool threads only run strong-branching probes, each on a slot
+  // of its own. Everything else — pseudocost feedback, incumbents,
+  // branching, child pushes, events — runs on this thread in pop order, so
+  // `threads` never changes the tree. With one thread there is no pool and
+  // no slot.
   const int search_threads = resolve_threads(options_.search.threads);
   lp::SimplexOptions sb_lp_options = options_.lp;
   sb_lp_options.max_iterations = options_.branching.strong_branch_iterations;
@@ -660,11 +631,10 @@ MilpSolution BranchAndBoundSolver::solve_impl(
   if (search_threads > 1) {
     pool.emplace(search_threads);
     pool->set_trace_recorder(ctx.trace(), ctx.trace_id());
-    const int count = std::max(width, search_threads);
-    slots.reserve(static_cast<std::size_t>(count));
-    for (int s = 0; s < count; ++s) {
-      slots.push_back(std::make_unique<LpSlot>(*prep->model, options_.lp,
-                                               sb_lp_options, ctx));
+    slots.reserve(static_cast<std::size_t>(search_threads));
+    for (int s = 0; s < search_threads; ++s) {
+      slots.push_back(
+          std::make_unique<LpSlot>(*prep->model, sb_lp_options, ctx));
     }
   }
   // The pseudocost table is internally locked and the probe budget and
@@ -865,7 +835,7 @@ MilpSolution BranchAndBoundSolver::solve_impl(
 
   // Bytes held by live BoundChange records. Records are made and released
   // on this thread only (pool threads read nodes by reference), and the
-  // count outlives every record: it is declared before `open` and `batch`.
+  // count outlives every record: it is declared before `open`.
   long long chain_bytes = 0;
   const detail::TallyAllocator<BoundChange> chain_alloc(&chain_bytes);
   OpenNodes open;
@@ -912,29 +882,6 @@ MilpSolution BranchAndBoundSolver::solve_impl(
       open.push(std::move(child));
     }
     note_open_peak();
-  };
-
-  // A node's LP on slot `w`, or on the solve's own engine when `w` is null
-  // (like the root). Slots tally privately; the tallies fold into the solve
-  // once the search ends, so iterations are never double counted.
-  const auto solve_tree_node = [&](LpSlot* w, const Node& node) {
-    NodeBounds& b = w != nullptr ? w->bounds : own_bounds;
-    materialize(node, root_lower, root_upper, b);
-    if (w == nullptr) {
-      LpSolution lp = solve_node(b.lower, b.upper, node.parent_basis.get());
-      result.lp_iterations += lp.iterations;
-      return lp;
-    }
-    LpSolution lp = w->engine.solve(
-        w->prep, b.lower, b.upper, w->ctx,
-        LpStartBasis(options_.search.warm_start_nodes ? node.parent_basis.get()
-                                                      : nullptr,
-                     LpStartBasis::Origin::kBoundChange));
-    if (lp.warm_started) ++w->warm_started;
-    if (lp.used_dual) ++w->dual_reopt;
-    w->lp_iterations += lp.iterations;
-    ++w->nodes;
-    return lp;
   };
 
   bool budget_exhausted = false;
@@ -1034,11 +981,8 @@ MilpSolution BranchAndBoundSolver::solve_impl(
   };
 
   // ---- tree search --------------------------------------------------------
-  // Each step pops up to `width` nodes, pruning at pop time (pruned pops do
-  // not count as nodes), solves their LPs — on the pool when there is one,
-  // node k on slot k — and applies the outcomes in dequeue order.
-  std::vector<std::unique_ptr<Node>> batch;
-  std::vector<LpSolution> batch_sols(static_cast<std::size_t>(width));
+  // Each step pops one node, pruning at pop time (pruned pops do not count
+  // as nodes), solves its LP and applies the outcome.
   while (!open.empty()) {
     refresh_batch_span();
     publish_node_progress();
@@ -1065,35 +1009,16 @@ MilpSolution BranchAndBoundSolver::solve_impl(
     interrupted = interruption();
     if (interrupted) break;
 
-    // A step never takes more nodes than the budget has left.
-    const int step_width =
-        std::min(width, options_.search.max_nodes - result.nodes);
-    batch.clear();
-    while (!open.empty() && static_cast<int>(batch.size()) < step_width) {
-      std::unique_ptr<Node> node = open.pop(/*depth_first=*/!have_incumbent);
-      if (have_incumbent && node->parent_bound >= incumbent - 1e-12) {
-        continue;  // pruned by bound
-      }
-      batch.push_back(std::move(node));
+    const std::unique_ptr<Node> node =
+        open.pop(/*depth_first=*/!have_incumbent);
+    if (have_incumbent && node->parent_bound >= incumbent - 1e-12) {
+      continue;  // pruned by bound
     }
-    if (batch.empty()) continue;
-
-    const auto solve_slot = [&](int s) {
-      batch_sols[static_cast<std::size_t>(s)] = solve_tree_node(
-          slots.empty() ? nullptr : slots[static_cast<std::size_t>(s)].get(),
-          *batch[static_cast<std::size_t>(s)]);
-    };
-    if (pool.has_value() && batch.size() > 1) {
-      parallel_for(*pool, static_cast<int>(batch.size()), solve_slot);
-    } else {
-      for (int s = 0; s < static_cast<int>(batch.size()); ++s) solve_slot(s);
-    }
-
-    for (std::size_t s = 0; s < batch.size(); ++s) {
-      const int still_open =
-          open.size() + static_cast<int>(batch.size() - 1 - s);
-      if (!apply_node_outcome(*batch[s], batch_sols[s], still_open)) break;
-    }
+    materialize(*node, root_lower, root_upper, own_bounds);
+    const LpSolution relaxed = solve_node(own_bounds.lower, own_bounds.upper,
+                                          node->parent_basis.get());
+    result.lp_iterations += relaxed.iterations;
+    if (!apply_node_outcome(*node, relaxed, open.size())) break;
   }
 
   batch_span.reset();
@@ -1102,22 +1027,19 @@ MilpSolution BranchAndBoundSolver::solve_impl(
     // Fold the slots' tallies and stats trees back into the solve: each
     // slot context's "simplex" subtree merges into this solve's
     // branch_and_bound node, so the stats shape matches a one-thread solve,
-    // and per-slot counts land under a "parallel" child. Merge the trees
-    // first: merge_from may grow stats.children, which would invalidate a
-    // reference to the "parallel" child held across the calls.
+    // and per-slot probe pivots land under a "parallel" child. Merge the
+    // trees first: merge_from may grow stats.children, which would
+    // invalidate a reference to the "parallel" child held across the calls.
     for (const std::unique_ptr<LpSlot>& slot : slots) {
       stats.merge_from(slot->ctx.stats());
     }
     SolveStats& pstats = stats.child("parallel");
     pstats.add("threads", static_cast<double>(search_threads));
     for (std::size_t s = 0; s < slots.size(); ++s) {
-      const LpSlot& slot = *slots[s];
-      warm_started_nodes += slot.warm_started;
-      dual_reopt_nodes += slot.dual_reopt;
-      result.lp_iterations += static_cast<int>(slot.lp_iterations);
-      SolveStats& wstats = pstats.child("worker" + std::to_string(s));
-      wstats.add("nodes", static_cast<double>(slot.nodes));
-      wstats.add("lp_iterations", static_cast<double>(slot.lp_iterations));
+      const long long iterations = slots[s]->lp_iterations;
+      result.lp_iterations += static_cast<int>(iterations);
+      pstats.child("worker" + std::to_string(s))
+          .add("lp_iterations", static_cast<double>(iterations));
     }
   }
 
@@ -1151,9 +1073,8 @@ MilpSolution BranchAndBoundSolver::solve_impl(
                                             have_incumbent ? incumbent
                                                            : global_bound);
   result.lp_iterations += static_cast<int>(seq_probe_iters);
-  stats.add("nodes", result.nodes);
+  stamp_counters();
   if (dropped) stats.add("dropped_nodes", static_cast<double>(dropped_nodes));
-  stamp_reopt_counters();
   const long long probes = strong_branch_probes.load();
   stats.add("strong_branch_probes", static_cast<double>(probes));
   stats.add("pseudocost_updates",

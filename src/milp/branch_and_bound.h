@@ -16,20 +16,19 @@
 // replayed over the root bounds into per-engine buffers when its LP runs
 // (milp/node_store.h), so a node costs bytes, not two bound vectors.
 //
-// One search loop: each step pops one node (eight when
-// SearchOptions::deterministic is set), solves the node LPs, and applies
-// the outcomes in dequeue order on the solving thread. With
-// SearchOptions::threads > 1 the step's node LPs and the strong-branching
-// probes run on a ThreadPool, each on a private LpEngine + PreparedLp +
-// SolveContext slot (per-slot PreparedLps have identical internal layout,
-// so a parent basis produced on one slot warm-starts a child on any other
-// with the same kBoundChange dual-simplex reoptimization). The thread count
-// never changes the explored tree; see solver_options.h and DESIGN.md
-// ("Parallel tree search"). Per-slot node tallies land under a "parallel"
-// child of the branch_and_bound stats subtree. A node whose LP fails
-// (numerical error, unbounded, pivot budget) is dropped: its parent bound
-// stays a floor on the reported bound, and the solve can then end
-// kFeasible or kNoSolutionFound but never kOptimal or kInfeasible.
+// One search loop: each step pops one node, solves its LP on the solve's
+// own engine, and applies the outcome on the solving thread. With
+// SearchOptions::threads > 1 a node's strong-branching probes run on a
+// ThreadPool, each on a private LpEngine + PreparedLp + SolveContext slot
+// (per-slot PreparedLps have identical internal layout, so a node basis
+// warm-starts a probe on any slot with the same kBoundChange dual-simplex
+// reoptimization). The thread count never changes the explored tree; see
+// solver_options.h and DESIGN.md ("Parallel tree search"). Per-slot probe
+// pivots land under a "parallel" child of the branch_and_bound stats
+// subtree. A node whose LP fails (numerical error, unbounded, pivot
+// budget) is dropped: its parent bound stays a floor on the reported
+// bound, and the solve can then end kFeasible or kNoSolutionFound but
+// never kOptimal or kInfeasible.
 //
 // Root cutting planes (cut-and-branch): before branching starts, registered
 // CutGenerators (Gomory mixed-integer + lifted cover by default; see

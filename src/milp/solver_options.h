@@ -38,20 +38,16 @@ struct SearchOptions {
   /// Warm-start each node's LP from its parent's optimal basis instead of
   /// cold-starting phase 1. Off is only useful for A/B measurements.
   bool warm_start_nodes = true;
-  /// Threads for the solve's LP pool: the node LPs of each search step and
-  /// the strong-branching probes run on it. 1 (the default) runs every LP
-  /// on the calling thread; <= 0 uses one per hardware thread. The thread
+  /// Threads for the solve's strong-branching probe pool. Every node LP
+  /// runs on the calling thread, one node per search step; only the probes
+  /// of a node run on the pool. 1 (the default) runs the probes on the
+  /// calling thread too; <= 0 uses one per hardware thread. The thread
   /// count never changes the explored tree: nodes, lp_iterations, bound and
   /// incumbent are identical for every value (runs cut short by the
   /// deadline or cancellation remain timing-dependent). Composes
   /// multiplicatively with farm-level parallelism (SolveFarm workers / the
   /// CLI's --jobs): 4 jobs x 8 threads = up to 32 LPs in flight.
   int threads = 1;
-  /// Search width: off (the default) dequeues one node per step, on
-  /// dequeues eight, so up to eight node LPs run at once on the pool. Their
-  /// outcomes are applied in dequeue order either way. The width shapes the
-  /// tree, so the two settings explore different trees to the same optimum.
-  bool deterministic = false;
 };
 
 /// Root cutting-plane loop. Cuts are separated only at the root node with

@@ -266,8 +266,6 @@ PlannerOptions parse_options_json(const json::Value* options) {
     } else if (key == "threads") {
       out.milp.search.threads =
           static_cast<int>(require_number(value, "options.threads"));
-    } else if (key == "deterministic") {
-      out.milp.search.deterministic = require_bool(value, "options.deterministic");
     } else {
       throw InvalidInputError("options: unknown key '" + key + "'");
     }
@@ -282,10 +280,10 @@ std::string options_fingerprint(const PlannerOptions& options,
   char buf[512];
   std::snprintf(
       buf, sizeof(buf),
-      "v3 engine=%d dr=%d sizing=%d omega=%.17g eco=%d "
+      "v4 engine=%d dr=%d sizing=%d omega=%.17g eco=%d "
       "cuts=%d/%d/%d/%d branch=%d lp=%d presolve=%d "
       "nodes=%d gap=%.17g tl=%.17g varlim=%d jointlim=%d lb=%d "
-      "threads=%d det=%d",
+      "threads=%d",
       static_cast<int>(options.engine), options.enable_dr ? 1 : 0,
       static_cast<int>(options.dr_sizing), options.business_impact_omega,
       options.economies_of_scale ? 1 : 0, options.milp.cuts.enable ? 1 : 0,
@@ -296,7 +294,7 @@ std::string options_fingerprint(const PlannerOptions& options,
       options.milp.presolve.enable ? 1 : 0, options.milp.search.max_nodes,
       options.milp.search.relative_gap, time_limit_ms, options.exact_var_limit,
       options.joint_dr_var_limit, options.compute_lower_bound ? 1 : 0,
-      options.milp.search.threads, options.milp.search.deterministic ? 1 : 0);
+      options.milp.search.threads);
   std::string out(buf);
   out += " hz=";
   out += horizon.is_static() ? "static" : horizon_fingerprint(horizon);

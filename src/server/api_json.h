@@ -30,9 +30,8 @@ inline constexpr int kApiVersion = 2;
 ///   branching: "pseudocost"|"most-fractional"
 ///   lp_algorithm: "auto"|"primal"|"dual"     presolve: bool
 ///   max_nodes: number         relative_gap: number
-///   threads: number (in-solve LP pool threads; <= 0 = hardware; never
-///            changes the explored tree)
-///   deterministic: bool (8 nodes per search step instead of 1)
+///   threads: number (in-solve strong-branching probe threads; <= 0 =
+///            hardware; never changes the explored tree)
 /// Throws InvalidInputError on bad values.
 [[nodiscard]] PlannerOptions parse_options_json(const json::Value* options);
 

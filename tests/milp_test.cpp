@@ -115,6 +115,28 @@ TEST(BranchAndBound, DetectsInfeasible) {
   EXPECT_EQ(solve(m).status, MilpStatus::kInfeasible);
 }
 
+TEST(BranchAndBound, RootInfeasibleStampsNodesAndReoptTallies) {
+  // An infeasible root LP ends the solve before the tree; its stats still
+  // carry the node count and both reoptimization tallies, like every other
+  // return path.
+  Model m;
+  const int x = m.add_binary("x");
+  const int y = m.add_binary("y");
+  m.set_objective(Sense::kMinimize, {{x, 1.0}, {y, 1.0}});
+  m.add_constraint("c", {{x, 1.0}, {y, 1.0}}, Relation::kGreaterEqual, 3.0);
+  const MilpSolution s = solve(m);
+  ASSERT_EQ(s.status, MilpStatus::kInfeasible);
+  const auto has_metric = [&s](const std::string& key) {
+    for (const auto& [name, value] : s.stats.metrics) {
+      if (name == key) return true;
+    }
+    return false;
+  };
+  EXPECT_EQ(s.stats.metric("nodes"), 1.0);
+  EXPECT_TRUE(has_metric("warm_started_nodes"));
+  EXPECT_TRUE(has_metric("dual_reopt_nodes"));
+}
+
 TEST(BranchAndBound, IntegralityCanMakeLpFeasibleModelInfeasible) {
   // 2x = 1 has LP solution x=0.5 but no integer solution.
   Model m;

@@ -1,10 +1,11 @@
-// Tests for the branch-and-bound search on a thread pool: the thread count
-// never changes the explored tree (either search width), the two widths
-// agree with each other and with brute force, cross-thread cancellation
-// mid-search, the per-slot stats a pooled search stamps under "parallel",
-// and the bytes an open node holds on a 2,000-column MILP.
+// Tests for the branch-and-bound search with a strong-branching probe pool:
+// the thread count never changes the explored tree, pooled searches agree
+// with brute force, cross-thread cancellation mid-search, the per-slot
+// probe stats a pooled search stamps under "parallel", and the bytes an
+// open node holds on a 2,000-column MILP.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <string>
@@ -78,10 +79,9 @@ Model knapsack_milp(int items, std::uint64_t seed) {
   return model;
 }
 
-MilpSolution solve_with(const Model& model, int threads, bool deterministic) {
+MilpSolution solve_with(const Model& model, int threads) {
   SolverOptions options;
   options.search.threads = threads;
-  options.search.deterministic = deterministic;
   const BranchAndBoundSolver solver(options);
   SolveContext ctx;
   return solver.solve(model, ctx);
@@ -117,46 +117,20 @@ TEST(SearchTree, ThreadsNeverChangeTheTree) {
       {"assignment 10x4 seed 11", assignment_milp(10, 4, 11)},
       {"knapsack 24 seed 2", knapsack_milp(24, 2)},
   };
-  for (const bool deterministic : {false, true}) {
-    for (const auto& [name, model] : models) {
-      const MilpSolution base = solve_with(model, /*threads=*/1, deterministic);
-      ASSERT_NE(base.nodes, 0) << name;
-      for (const int threads : {0, 2, 4, 8}) {
-        const std::string label =
-            name + (deterministic ? ", width 8, " : ", width 1, ") +
-            std::to_string(threads) + " threads";
-        expect_same_tree(solve_with(model, threads, deterministic), base,
-                         label);
-      }
+  for (const auto& [name, model] : models) {
+    const MilpSolution base = solve_with(model, /*threads=*/1);
+    ASSERT_NE(base.nodes, 0) << name;
+    for (const int threads : {0, 2, 4, 8}) {
+      expect_same_tree(solve_with(model, threads), base,
+                       name + ", " + std::to_string(threads) + " threads");
     }
-  }
-}
-
-TEST(DeterministicSearch, IdenticalResultAt1_2_8Threads) {
-  const Model model = assignment_milp(/*tasks=*/12, /*agents=*/4, 23);
-  const MilpSolution base = solve_with(model, /*threads=*/1,
-                                       /*deterministic=*/true);
-  ASSERT_EQ(base.status, MilpStatus::kOptimal);
-  for (const int threads : {2, 8}) {
-    const MilpSolution s = solve_with(model, threads, /*deterministic=*/true);
-    ASSERT_EQ(s.status, MilpStatus::kOptimal) << threads << " threads";
-    // Byte-stable contract: not just the same optimum, the same explored
-    // tree — node count, total simplex iterations, bound, and the exact
-    // incumbent vector.
-    EXPECT_EQ(s.objective, base.objective) << threads << " threads";
-    EXPECT_EQ(s.nodes, base.nodes) << threads << " threads";
-    EXPECT_EQ(s.lp_iterations, base.lp_iterations) << threads << " threads";
-    EXPECT_EQ(s.best_bound, base.best_bound) << threads << " threads";
-    EXPECT_EQ(s.values, base.values) << threads << " threads";
   }
 }
 
 TEST(DeterministicSearch, RepeatedRunsAreByteStable) {
   const Model model = assignment_milp(/*tasks=*/10, /*agents=*/4, 7);
-  const MilpSolution first = solve_with(model, /*threads=*/4,
-                                        /*deterministic=*/true);
-  const MilpSolution second = solve_with(model, /*threads=*/4,
-                                         /*deterministic=*/true);
+  const MilpSolution first = solve_with(model, /*threads=*/4);
+  const MilpSolution second = solve_with(model, /*threads=*/4);
   ASSERT_EQ(first.status, MilpStatus::kOptimal);
   EXPECT_EQ(first.objective, second.objective);
   EXPECT_EQ(first.nodes, second.nodes);
@@ -164,27 +138,11 @@ TEST(DeterministicSearch, RepeatedRunsAreByteStable) {
   EXPECT_EQ(first.values, second.values);
 }
 
-TEST(DeterministicSearch, MatchesSequentialObjective) {
-  // The deterministic epoch tree differs from the classic sequential tree,
-  // but both must land on the same optimum.
-  for (const std::uint64_t seed : {1u, 9u, 42u}) {
-    const Model model = assignment_milp(/*tasks=*/10, /*agents=*/4, seed);
-    const MilpSolution seq = solve_with(model, 1, /*deterministic=*/false);
-    const MilpSolution det = solve_with(model, 4, /*deterministic=*/true);
-    // Some seeds are genuinely infeasible — the modes must agree on that
-    // verdict too.
-    ASSERT_EQ(det.status, seq.status) << "seed " << seed;
-    if (seq.status == MilpStatus::kOptimal) {
-      EXPECT_NEAR(det.objective, seq.objective, 1e-6) << "seed " << seed;
-    }
-  }
-}
-
 TEST(ParallelSearch, MatchesSequentialOnAssignmentInstances) {
   for (const std::uint64_t seed : {3u, 11u, 23u, 31u}) {
     const Model model = assignment_milp(/*tasks=*/10, /*agents=*/4, seed);
-    const MilpSolution seq = solve_with(model, 1, /*deterministic=*/false);
-    const MilpSolution par = solve_with(model, 4, /*deterministic=*/false);
+    const MilpSolution seq = solve_with(model, 1);
+    const MilpSolution par = solve_with(model, 4);
     // Some seeds are genuinely infeasible — the thread counts must agree on
     // that verdict too.
     ASSERT_EQ(par.status, seq.status) << "seed " << seed;
@@ -198,13 +156,11 @@ TEST(ParallelSearch, MatchesSequentialOnAssignmentInstances) {
 TEST(ParallelSearch, MatchesSequentialOnKnapsacks) {
   for (const std::uint64_t seed : {2u, 17u}) {
     const Model model = knapsack_milp(/*items=*/24, seed);
-    const MilpSolution seq = solve_with(model, 1, /*deterministic=*/false);
+    const MilpSolution seq = solve_with(model, 1);
     ASSERT_EQ(seq.status, MilpStatus::kOptimal) << "seed " << seed;
-    for (const bool deterministic : {false, true}) {
-      const MilpSolution par = solve_with(model, 8, deterministic);
-      ASSERT_EQ(par.status, MilpStatus::kOptimal) << "seed " << seed;
-      EXPECT_NEAR(par.objective, seq.objective, 1e-6) << "seed " << seed;
-    }
+    const MilpSolution par = solve_with(model, 8);
+    ASSERT_EQ(par.status, MilpStatus::kOptimal) << "seed " << seed;
+    EXPECT_NEAR(par.objective, seq.objective, 1e-6) << "seed " << seed;
   }
 }
 
@@ -213,58 +169,54 @@ TEST(ParallelSearch, MatchesBruteForceOnSmallModels) {
     const Model model = assignment_milp(/*tasks=*/6, /*agents=*/3, seed);
     SolveContext reference_ctx;
     const MilpSolution reference = solve_brute_force(model, reference_ctx);
-    for (const bool deterministic : {false, true}) {
-      const MilpSolution par = solve_with(model, 4, deterministic);
-      // Brute force is ground truth: agree on infeasibility, match the
-      // optimum otherwise.
-      if (reference.status == MilpStatus::kInfeasible) {
-        EXPECT_EQ(par.status, MilpStatus::kInfeasible) << "seed " << seed;
-        continue;
-      }
-      ASSERT_EQ(reference.status, MilpStatus::kOptimal) << "seed " << seed;
-      ASSERT_EQ(par.status, MilpStatus::kOptimal) << "seed " << seed;
-      EXPECT_NEAR(par.objective, reference.objective, 1e-6) << "seed " << seed;
+    const MilpSolution par = solve_with(model, 4);
+    // Brute force is ground truth: agree on infeasibility, match the
+    // optimum otherwise.
+    if (reference.status == MilpStatus::kInfeasible) {
+      EXPECT_EQ(par.status, MilpStatus::kInfeasible) << "seed " << seed;
+      continue;
     }
+    ASSERT_EQ(reference.status, MilpStatus::kOptimal) << "seed " << seed;
+    ASSERT_EQ(par.status, MilpStatus::kOptimal) << "seed " << seed;
+    EXPECT_NEAR(par.objective, reference.objective, 1e-6) << "seed " << seed;
   }
 }
 
 TEST(ParallelSearch, HardwareThreadsRequestIsAccepted) {
   const Model model = assignment_milp(/*tasks=*/8, /*agents=*/4, 19);
-  const MilpSolution seq = solve_with(model, 1, /*deterministic=*/false);
-  const MilpSolution par = solve_with(model, /*threads=*/0,
-                                      /*deterministic=*/false);
+  const MilpSolution seq = solve_with(model, 1);
+  const MilpSolution par = solve_with(model, /*threads=*/0);
   ASSERT_EQ(par.status, MilpStatus::kOptimal);
   EXPECT_NEAR(par.objective, seq.objective, 1e-6);
 }
 
 TEST(ParallelSearch, StampsPerWorkerCounters) {
   const Model model = assignment_milp(/*tasks=*/12, /*agents=*/4, 23);
-  const MilpSolution s = solve_with(model, 4, /*deterministic=*/false);
+  const MilpSolution s = solve_with(model, 4);
   ASSERT_EQ(s.status, MilpStatus::kOptimal);
   const SolveStats* parallel = s.stats.find("parallel");
   ASSERT_NE(parallel, nullptr);
   EXPECT_EQ(parallel->metric("threads"), 4.0);
-  // Tree nodes (everything but the root LP) were all solved on slots.
-  EXPECT_EQ(sum_worker_metric(s.stats, "nodes"),
-            static_cast<double>(s.nodes - 1));
+  // Slots run strong-branching probes only: no node LP lands on one, and
+  // the probes' pivots show on the workers.
+  ASSERT_FALSE(parallel->children.empty());
+  for (const SolveStats& worker : parallel->children) {
+    EXPECT_TRUE(std::none_of(
+        worker.metrics.begin(), worker.metrics.end(),
+        [](const auto& metric) { return metric.first == "nodes"; }))
+        << worker.name;
+  }
+  EXPECT_GT(sum_worker_metric(s.stats, "lp_iterations"), 0.0);
   // The slots' simplex subtrees merge into the solve's, same as the
   // one-thread shape.
   EXPECT_NE(s.stats.find("simplex"), nullptr);
-  // One thread runs every LP on the solve's own engine: no slots.
-  const MilpSolution one = solve_with(model, 1, /*deterministic=*/false);
+  // One thread runs every LP on the solve's own engine: no slots. Node LPs
+  // run there at any thread count, so their warm starts match.
+  const MilpSolution one = solve_with(model, 1);
   EXPECT_EQ(one.stats.find("parallel"), nullptr);
   EXPECT_NE(one.stats.find("simplex"), nullptr);
-}
-
-TEST(DeterministicSearch, StampsPerWorkerCounters) {
-  const Model model = assignment_milp(/*tasks=*/12, /*agents=*/4, 23);
-  const MilpSolution s = solve_with(model, 2, /*deterministic=*/true);
-  ASSERT_EQ(s.status, MilpStatus::kOptimal);
-  const SolveStats* parallel = s.stats.find("parallel");
-  ASSERT_NE(parallel, nullptr);
-  EXPECT_EQ(parallel->metric("threads"), 2.0);
-  EXPECT_EQ(sum_worker_metric(s.stats, "nodes"),
-            static_cast<double>(s.nodes - 1));
+  EXPECT_EQ(s.stats.metric("warm_started_nodes"),
+            one.stats.metric("warm_started_nodes"));
 }
 
 TEST(ParallelSearch, CrossThreadCancellationMidSearch) {
@@ -299,10 +251,11 @@ TEST(ParallelSearch, CrossThreadCancellationMidSearch) {
 }
 
 TEST(DeterministicSearch, CancellationUnwinds) {
+  // Cancels from inside on_node, which fires on the solving thread between
+  // node LPs, with a two-thread pool up.
   const Model model = assignment_milp(/*tasks=*/20, /*agents=*/4, 23);
   SolverOptions options;
   options.search.threads = 2;
-  options.search.deterministic = true;
   options.cuts.enable = false;
   options.branching.rule = BranchingOptions::Rule::kMostFractional;
   const BranchAndBoundSolver solver(options);
@@ -319,14 +272,13 @@ TEST(DeterministicSearch, CancellationUnwinds) {
 TEST(NodeStorage, OpenNodesHoldNoBoundVectors) {
   // 2,000 binaries: a node holding its own lower and upper vectors would
   // cost 32,000 bytes. A chained node costs its entry, its Node and one
-  // BoundChange record, on slots and on the solve's own engine alike.
+  // BoundChange record, with and without a probe pool.
   const Model model = assignment_milp(500, 4, 41);
   ASSERT_GE(model.num_variables(), 2000);
   for (const int threads : {1, 2}) {
     SolverOptions options;
     options.search.max_nodes = 120;
     options.search.threads = threads;
-    options.search.deterministic = threads > 1;
     const BranchAndBoundSolver solver(options);
     SolveContext ctx;
     const MilpSolution solution = solver.solve(model, ctx);

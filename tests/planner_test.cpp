@@ -98,12 +98,11 @@ TEST(Planner, LowerBoundBracketsExactCost) {
 }
 
 TEST(Planner, HeuristicFallbackKeepsTheTreesNodesAndBound) {
-  // A deterministic search capped at 40 nodes finds no incumbent on
-  // enterprise1 (the root dive aborts), so the planner falls back to the
-  // heuristic plan. The tree still explored its budget and proved a bound.
+  // A search capped at 40 nodes finds no incumbent on enterprise1 (the
+  // root dive aborts), so the planner falls back to the heuristic plan. The
+  // tree still explored its budget and proved a bound.
   PlannerOptions options;
   options.engine = PlannerOptions::Engine::kExact;
-  options.milp.search.deterministic = true;
   options.milp.search.max_nodes = 40;
   const ConsolidationInstance instance = make_enterprise1();
   const CostModel model(instance);

@@ -771,6 +771,17 @@ TEST(ServerTest, MalformedRequestsGetHttp400AndUnknownPaths404) {
   json::Value body = json::Value::object();
   body.set("instance", json::Value::string("etransform-instance v1\ngarbage"));
   EXPECT_EQ(fixture.request("POST", "/v1/plan", body.dump()).status, 400);
+  // The search has one width: the option that widened it is an unknown key.
+  body.set("instance", json::Value::string(write_instance(small_instance())));
+  json::Value options = json::Value::object();
+  options.set("deterministic", json::Value::boolean(true));
+  body.set("options", std::move(options));
+  const ClientResponse widened =
+      fixture.request("POST", "/v1/plan", body.dump());
+  EXPECT_EQ(widened.status, 400);
+  EXPECT_NE(widened.body.find("options: unknown key 'deterministic'"),
+            std::string::npos)
+      << widened.body;
   EXPECT_EQ(fixture.request("GET", "/v1/jobs/999").status, 404);
   EXPECT_EQ(fixture.request("GET", "/nope").status, 404);
   EXPECT_EQ(fixture.request("GET", "/healthz").status, 200);

@@ -127,27 +127,23 @@ TEST(SolverLimits, DroppedNodesKeepStatusAndBoundSound) {
   int runs_with_drops = 0;
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     const Model model = multi_knapsack(16, 3, seed);
-    for (const bool deterministic : {false, true}) {
-      milp::SolverOptions options;
-      options.cuts.enable = false;
-      options.search.deterministic = deterministic;
-      SolveContext ctx;
-      const auto exact = milp::BranchAndBoundSolver(options).solve(model, ctx);
-      ASSERT_EQ(exact.status, milp::MilpStatus::kOptimal) << seed;
-      options.lp.max_iterations = 3;
-      const auto capped = milp::BranchAndBoundSolver(options).solve(
-          model, ctx, exact.root_basis.get());
-      const std::string label = "seed " + std::to_string(seed) +
-                                (deterministic ? ", width 8" : ", width 1");
-      EXPECT_GE(capped.best_bound, exact.objective - 1e-6) << label;
-      if (capped.has_incumbent()) {
-        EXPECT_LE(capped.objective, exact.objective + 1e-6) << label;
-      }
-      if (capped.stats.metric("dropped_nodes") > 0) {
-        ++runs_with_drops;
-        EXPECT_NE(capped.status, milp::MilpStatus::kOptimal) << label;
-        EXPECT_NE(capped.status, milp::MilpStatus::kInfeasible) << label;
-      }
+    milp::SolverOptions options;
+    options.cuts.enable = false;
+    SolveContext ctx;
+    const auto exact = milp::BranchAndBoundSolver(options).solve(model, ctx);
+    ASSERT_EQ(exact.status, milp::MilpStatus::kOptimal) << seed;
+    options.lp.max_iterations = 3;
+    const auto capped = milp::BranchAndBoundSolver(options).solve(
+        model, ctx, exact.root_basis.get());
+    const std::string label = "seed " + std::to_string(seed);
+    EXPECT_GE(capped.best_bound, exact.objective - 1e-6) << label;
+    if (capped.has_incumbent()) {
+      EXPECT_LE(capped.objective, exact.objective + 1e-6) << label;
+    }
+    if (capped.stats.metric("dropped_nodes") > 0) {
+      ++runs_with_drops;
+      EXPECT_NE(capped.status, milp::MilpStatus::kOptimal) << label;
+      EXPECT_NE(capped.status, milp::MilpStatus::kInfeasible) << label;
     }
   }
   EXPECT_GT(runs_with_drops, 0);
