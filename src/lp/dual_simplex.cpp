@@ -135,6 +135,7 @@ BreakpointChoice select_breakpoint(std::vector<DualBreakpoint>& bps,
 }
 
 void RevisedSimplex::dual_refresh() {
+  certified_ = false;
   y_.assign(static_cast<std::size_t>(m_), 0.0);
   for (int k = 0; k < m_; ++k) {
     y_[static_cast<std::size_t>(k)] = shifted_cost_[static_cast<std::size_t>(
@@ -187,6 +188,7 @@ bool RevisedSimplex::dual_start_feasible() {
 void RevisedSimplex::dual_perturb() {
   perturbed_ = true;
   fresh_duals_ = false;
+  certified_ = false;
   for (int j = 0; j < n_; ++j) {
     const auto ju = static_cast<std::size_t>(j);
     if (status_[ju] == BasisVarStatus::kBasic) continue;
@@ -278,14 +280,18 @@ SolveStatus RevisedSimplex::iterate_dual() {
     }
     if (r < 0) {
       // Primal feasible => dual-optimal. Like the primal loop, only declare
-      // against a freshly refactorized basis.
-      if (pivots_since_refactor_ == 0) return SolveStatus::kOptimal;
-      if (!refactorize_or_recover()) return SolveStatus::kNumericalError;
-      if (restart_phase1_) {
-        dual_abandoned_ = true;
-        return SolveStatus::kOptimal;
+      // against a verified basis: a fresh factorization, or an eta file
+      // whose residuals certify() checked. A refused certification
+      // refactorizes; either way the recomputed values are re-scanned.
+      if (verified()) return SolveStatus::kOptimal;
+      if (!certify(/*dual_loop=*/true)) {
+        if (!refactorize_or_recover()) return SolveStatus::kNumericalError;
+        if (restart_phase1_) {
+          dual_abandoned_ = true;
+          return SolveStatus::kOptimal;
+        }
+        dual_refresh();
       }
-      dual_refresh();
       continue;
     }
 
@@ -442,6 +448,7 @@ SolveStatus RevisedSimplex::iterate_dual() {
     status_[qu] = BasisVarStatus::kBasic;
     basis_[static_cast<std::size_t>(r)] = q;
     fresh_duals_ = false;
+    certified_ = false;
 
     ++iterations_;
     ++dual_pivots_;

@@ -1,6 +1,7 @@
 #include "lp/simplex.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 
@@ -36,7 +37,19 @@ const char* to_string(SolveMode mode) {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Residual-certification tolerance, relative to max(1, |b|_inf) for the
+/// primal residual and max(1, |c|_inf) for the basic dual residual.
+constexpr double kCertifyTol = 1e-9;
+
+/// Set by detail::refuse_certification() (tests only).
+std::atomic<bool> g_refuse_certification{false};
 }  // namespace
+
+std::uint64_t PreparedLpId::next() {
+  static std::atomic<std::uint64_t> counter{0};
+  return ++counter;
+}
 
 PreparedLp::PreparedLp(const Model& m) : model(&m) {
   m.validate();
@@ -155,6 +168,10 @@ PreparedLp::PreparedLp(const Model& m) : model(&m) {
 
 namespace detail {
 
+void refuse_certification(bool refuse) {
+  g_refuse_certification.store(refuse, std::memory_order_relaxed);
+}
+
 RevisedSimplex::RevisedSimplex(const PreparedLp& prep,
                                const SimplexOptions& options, SolveContext& ctx,
                                BasisFactorization& engine)
@@ -194,7 +211,8 @@ bool RevisedSimplex::set_bounds(const std::vector<double>& lo,
   return true;
 }
 
-SolveStatus RevisedSimplex::run(const BasisSnapshot* warm, bool try_dual) {
+SolveStatus RevisedSimplex::run(const BasisSnapshot* warm, bool try_dual,
+                                int carried_etas) {
   engine_.reset_counters();
   // Small lists win empirically: Devex quality saturates around a few
   // dozen candidates while re-pricing cost keeps growing with the list.
@@ -202,13 +220,22 @@ SolveStatus RevisedSimplex::run(const BasisSnapshot* warm, bool try_dual) {
                    ? options_.candidate_list_size
                    : std::clamp(n_ / 32, 8, 32);
   bool warm_ok = warm != nullptr && apply_snapshot(*warm);
-  if (!warm_ok) init_slack_basis();
-  if (!refactorize()) {
-    if (warm_ok) {
-      warm_ok = false;
-      init_slack_basis();
+  if (warm_ok && carried_etas >= 0) {
+    // The engine already factorizes this basis: only the values move with
+    // the new bounds. Its etas stay pending (unverified unless there are
+    // none, which makes the LU exactly the one a refactorization builds).
+    lu_carried_ = true;
+    pivots_since_refactor_ = carried_etas;
+    recompute_values();
+  } else {
+    if (!warm_ok) init_slack_basis();
+    if (!refactorize()) {
+      if (warm_ok) {
+        warm_ok = false;
+        init_slack_basis();
+      }
+      if (!refactorize()) return SolveStatus::kNumericalError;
     }
-    if (!refactorize()) return SolveStatus::kNumericalError;
   }
   warm_started_ = warm_ok;
 
@@ -326,23 +353,26 @@ BasisVarStatus RevisedSimplex::default_nonbasic_status(int j) const {
 }
 
 /// Installs a snapshot, re-clamping nonbasic statuses to the current
-/// bounds. Returns false when structurally incompatible.
+/// bounds. Returns false when structurally incompatible, leaving status_
+/// for init_slack_basis() to overwrite.
 bool RevisedSimplex::apply_snapshot(const BasisSnapshot& snap) {
   if (snap.basic_columns.size() != static_cast<std::size_t>(m_) ||
       snap.column_status.size() != static_cast<std::size_t>(n_)) {
     return false;
   }
-  std::vector<char> in_basis(static_cast<std::size_t>(n_), 0);
+  // status_ marks the basic columns (and catches duplicates) before the
+  // nonbasic statuses are written below.
+  std::fill(status_.begin(), status_.end(), BasisVarStatus::kAtLower);
   for (const int c : snap.basic_columns) {
-    if (c < 0 || c >= n_ || in_basis[static_cast<std::size_t>(c)]) {
+    if (c < 0 || c >= n_ ||
+        status_[static_cast<std::size_t>(c)] == BasisVarStatus::kBasic) {
       return false;
     }
-    in_basis[static_cast<std::size_t>(c)] = 1;
+    status_[static_cast<std::size_t>(c)] = BasisVarStatus::kBasic;
   }
   basis_ = snap.basic_columns;
   for (int j = 0; j < n_; ++j) {
-    if (in_basis[static_cast<std::size_t>(j)]) {
-      status_[static_cast<std::size_t>(j)] = BasisVarStatus::kBasic;
+    if (status_[static_cast<std::size_t>(j)] == BasisVarStatus::kBasic) {
       continue;
     }
     const bool lo_ok = std::isfinite(lower_[static_cast<std::size_t>(j)]);
@@ -411,6 +441,53 @@ bool RevisedSimplex::refactorize() {
   return true;
 }
 
+bool RevisedSimplex::certify(bool dual_loop) {
+  if (g_refuse_certification.load(std::memory_order_relaxed)) return false;
+  const Stopwatch clock;
+  const auto done = [&](bool passed) {
+    certify_ms_ += clock.elapsed_ms();
+    if (passed) {
+      certified_ = true;
+      ++residual_certifications_;
+    }
+    return passed;
+  };
+  recompute_values();
+  // Primal residual b - A x over every column, slacks included.
+  double rhs_scale = 1.0;
+  for (const double b : prep_.rhs) rhs_scale = std::max(rhs_scale, std::abs(b));
+  work_ = prep_.rhs;
+  for (int j = 0; j < n_; ++j) {
+    const double v = value_[static_cast<std::size_t>(j)];
+    if (v == 0.0) continue;
+    const SparseColumn& col = prep_.columns[static_cast<std::size_t>(j)];
+    for (std::size_t e = 0; e < col.rows.size(); ++e) {
+      work_[static_cast<std::size_t>(col.rows[e])] -= col.coefs[e] * v;
+    }
+  }
+  for (const double r : work_) {
+    if (!(std::abs(r) <= kCertifyTol * rhs_scale)) return done(false);
+  }
+  // Basic dual residual c_B - B^T y against the costs the duals price.
+  if (dual_loop) {
+    dual_refresh();
+  } else {
+    compute_duals();
+  }
+  const std::vector<double>& cost = dual_loop ? shifted_cost_ : prep_.cost;
+  double cost_scale = 1.0;
+  for (const double c : cost) cost_scale = std::max(cost_scale, std::abs(c));
+  for (const int b : basis_) {
+    double r = cost[static_cast<std::size_t>(b)];
+    const SparseColumn& col = prep_.columns[static_cast<std::size_t>(b)];
+    for (std::size_t e = 0; e < col.rows.size(); ++e) {
+      r -= y_[static_cast<std::size_t>(col.rows[e])] * col.coefs[e];
+    }
+    if (!(std::abs(r) <= kCertifyTol * cost_scale)) return done(false);
+  }
+  return done(true);
+}
+
 /// Refactorizes; on a singular basis falls back to the slack basis (every
 /// row owns a +1 slack, so it always factorizes) and flags a phase-1
 /// restart. Returns false only when the caller must report
@@ -463,6 +540,7 @@ double RevisedSimplex::phase1_cost(int col) const {
 
 void RevisedSimplex::compute_duals() {
   fresh_duals_ = false;
+  certified_ = false;
   y_.assign(static_cast<std::size_t>(m_), 0.0);
   for (int k = 0; k < m_; ++k) {
     const int b = basis_[static_cast<std::size_t>(k)];
@@ -674,18 +752,21 @@ SolveStatus RevisedSimplex::iterate() {
 
     if (entering < 0) {
       // No attractive column. Guard the optimality claim against drift:
-      // refactorize and re-scan (with a relaxed tolerance) once.
-      if (pivots_since_refactor_ > 0) {
+      // certify the eta file's residuals (phase 2 only) or refactorize,
+      // then re-scan (with a relaxed tolerance) once. Phase 1 concludes
+      // only on a fresh factorization.
+      if (phase1_ ? pivots_since_refactor_ == 0 : verified()) {
+        return SolveStatus::kOptimal;
+      }
+      if (phase1_ || !certify(/*dual_loop=*/false)) {
         if (!refactorize_or_recover()) return SolveStatus::kNumericalError;
         if (restart_phase1_) return SolveStatus::kOptimal;
         compute_duals();
-        price_full_scan(false, 10 * options_.optimality_tol, entering,
-                        entering_dir);
-        ++full_scans_;
-        if (entering < 0) return SolveStatus::kOptimal;
-      } else {
-        return SolveStatus::kOptimal;
       }
+      price_full_scan(false, 10 * options_.optimality_tol, entering,
+                      entering_dir);
+      ++full_scans_;
+      if (entering < 0) return SolveStatus::kOptimal;
     }
 
     // Reduced cost of the entering column under the current duals; feeds
@@ -766,6 +847,7 @@ SolveStatus RevisedSimplex::iterate() {
       }
     }
     value_[static_cast<std::size_t>(entering)] += step;
+    certified_ = false;
 
     if (leaving_row < 0) {
       // Pure bound flip; basis unchanged. Snap exactly onto the bound.

@@ -24,9 +24,11 @@
 //  * Pricing is candidate-list partial pricing with Devex-style reference
 //    weights (PricingRule::kDevexPartial, the default): a rotating cursor
 //    refills a small candidate list, and optimality is only declared after a
-//    full scan against a freshly refactorized basis. Dantzig full pricing is
-//    available (PricingRule::kDantzig), and a run of degenerate pivots still
-//    switches to Bland's rule, which guarantees termination.
+//    full scan against a verified basis: a fresh factorization, or an eta
+//    file whose primal and dual residuals check out (DESIGN §8b). Dantzig
+//    full pricing is available (PricingRule::kDantzig), and a run of
+//    degenerate pivots still switches to Bland's rule, which guarantees
+//    termination.
 //  * Phase 1 is composite (artificial-free): basic variables outside their
 //    bounds get cost +-1 toward feasibility, so any basis — in particular a
 //    warm-started one whose bounds just changed — can be repaired in place.
@@ -43,6 +45,7 @@
 //    "simplex" stats node.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -133,6 +136,27 @@ struct BasisSnapshot {
   std::vector<BasisVarStatus> column_status;  // one per internal column
 };
 
+/// Identity of one PreparedLp object. Drawn from a process-wide counter
+/// when the object is built, and drawn afresh when it is copied or assigned,
+/// so no two objects share one — not even a PreparedLp freed and another
+/// built at the same address. LpEngine keys a kept factorization on it.
+class PreparedLpId {
+ public:
+  PreparedLpId() : value_(next()) {}
+  PreparedLpId(const PreparedLpId& /*other*/) : value_(next()) {}
+  PreparedLpId& operator=(const PreparedLpId& /*other*/) {
+    value_ = next();
+    return *this;
+  }
+  ~PreparedLpId() = default;
+
+  [[nodiscard]] std::uint64_t value() const { return value_; }
+
+ private:
+  static std::uint64_t next();
+  std::uint64_t value_;
+};
+
 /// Bounds-independent standard form of one Model, built once and shared by
 /// every bound-override solve (e.g. all branch-and-bound nodes). Internal
 /// column j < num_vars is model variable j verbatim; the remaining columns
@@ -148,6 +172,7 @@ struct PreparedLp {
     return static_cast<int>(columns.size());
   }
 
+  PreparedLpId id;
   const Model* model = nullptr;
   int num_vars = 0;         // model variables == leading internal columns
   double sense_sign = 1.0;  // +1 minimize, -1 maximize
@@ -185,8 +210,15 @@ struct LpSolution {
   int iterations = 0;
   /// Pivots spent in phase 1 (0 when the start basis was feasible).
   int phase1_iterations = 0;
-  /// Basis factorizations performed (>= 1: the start basis counts).
+  /// Basis factorizations performed, the start basis's included (0 only
+  /// when the start factorization was carried over; see `lu_carried`).
   int refactorizations = 0;
+  /// Optimality claims certified by residual checks on an eta file instead
+  /// of a fresh factorization.
+  int residual_certifications = 0;
+  /// True when the solve started from the factorization its LpEngine kept
+  /// from the previous solve instead of factorizing the start basis.
+  bool lu_carried = false;
   /// Degenerate (zero-step) pivots encountered.
   int degenerate_pivots = 0;
   /// True when a supplied warm-start basis was successfully installed.

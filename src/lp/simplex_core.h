@@ -5,11 +5,12 @@
 //
 // One RevisedSimplex instance covers one solve of one PreparedLp + bound
 // set, on a factorization engine it borrows from its LpEngine (the engine
-// outlives the solve so its scratch is not rebuilt per LP call). LpEngine
-// drives it: run() installs the (warm) basis, optionally
-// attempts the dual simplex when the start basis passes the numeric
-// dual-feasibility check, and always finishes through the primal phase-2
-// loop so optimality is certified by a single code path.
+// outlives the solve so its scratch is not rebuilt per LP call, and may
+// still hold the previous solve's factorization). LpEngine drives it: run()
+// installs the (warm) basis, optionally attempts the dual simplex when the
+// start basis passes the numeric dual-feasibility check, and always
+// finishes through the primal phase-2 loop so optimality is certified by a
+// single code path.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +25,11 @@ namespace etransform::lp::detail {
 /// Maximum slack-basis recoveries from singular factorizations before a
 /// solve gives up with kNumericalError.
 inline constexpr int kMaxRecoveries = 3;
+
+/// Test seam: while set, every residual certification refuses, so each
+/// optimality claim over a pending eta file refactorizes first — the
+/// solver as it ran before certification existed.
+void refuse_certification(bool refuse);
 
 /// One bound-flipping ratio-test breakpoint of a dual pivot.
 struct DualBreakpoint {
@@ -72,8 +78,11 @@ class RevisedSimplex {
   /// Runs the solve, optionally warm-starting from `warm`. When `try_dual`
   /// is set and the installed start basis is dual-feasible, reoptimizes
   /// with the dual simplex first; the primal phases then finish (or repair)
-  /// from wherever the dual loop left the basis.
-  SolveStatus run(const BasisSnapshot* warm, bool try_dual);
+  /// from wherever the dual loop left the basis. `carried_etas` >= 0 says
+  /// the engine already holds a factorization of `warm`'s basic columns, in
+  /// order, carrying that many etas: the start factorization is skipped.
+  SolveStatus run(const BasisSnapshot* warm, bool try_dual,
+                  int carried_etas = -1);
 
   [[nodiscard]] int iterations() const { return iterations_; }
   [[nodiscard]] int phase1_iterations() const { return phase1_iterations_; }
@@ -94,6 +103,20 @@ class RevisedSimplex {
   [[nodiscard]] int ratio_test_sorts() const { return ratio_test_sorts_; }
   /// Wall time spent inside BasisFactorization::factorize, in ms.
   [[nodiscard]] double factorize_ms() const { return factorize_ms_; }
+  /// Optimality claims certified by residual checks (see certify()).
+  [[nodiscard]] int residual_certifications() const {
+    return residual_certifications_;
+  }
+  /// Wall time spent in certify(), passed or refused, in ms.
+  [[nodiscard]] double certify_ms() const { return certify_ms_; }
+  /// True when run() started from the engine's kept factorization.
+  [[nodiscard]] bool lu_carried() const { return lu_carried_; }
+  /// The basic column of each basis position, in the engine's order.
+  [[nodiscard]] const std::vector<int>& basic_columns() const {
+    return basis_;
+  }
+  /// Etas the engine's factorization carries on top of its LU.
+  [[nodiscard]] int pending_etas() const { return pivots_since_refactor_; }
   /// Matrix entries scanned while building dual pivot rows.
   [[nodiscard]] long long pivot_row_entries() const {
     return pivot_row_entries_;
@@ -122,6 +145,18 @@ class RevisedSimplex {
   void recompute_values();
   [[nodiscard]] bool refactorize();
   [[nodiscard]] bool refactorize_or_recover();
+  /// Optimality may be declared: the factorization is fresh, or certify()
+  /// passed and no pivot, bound flip, cost shift or dual recomputation has
+  /// happened since.
+  [[nodiscard]] bool verified() const {
+    return pivots_since_refactor_ == 0 || certified_;
+  }
+  /// Residual certification of the current basis over the pending eta
+  /// file: recomputes x_B by one FTRAN and checks |b - A x|_inf, then
+  /// refreshes the duals by one BTRAN (dual_refresh() in the dual loop,
+  /// compute_duals() in phase 2) and checks |c_B - B^T y|_inf. Sets
+  /// certified_ when both pass; false means the caller refactorizes.
+  [[nodiscard]] bool certify(bool dual_loop);
   [[nodiscard]] double violation(int col) const;
   [[nodiscard]] bool has_infeasible_basic() const;
   [[nodiscard]] double total_infeasibility() const;
@@ -187,6 +222,10 @@ class RevisedSimplex {
   int degenerate_pivots_ = 0;
   int pivots_since_refactor_ = 0;
   int recoveries_ = 0;
+  bool certified_ = false;
+  bool lu_carried_ = false;
+  int residual_certifications_ = 0;
+  double certify_ms_ = 0.0;
   long long candidate_hits_ = 0;
   long long full_scans_ = 0;
   double factorize_ms_ = 0.0;

@@ -244,7 +244,11 @@ MilpSolution BranchAndBoundSolver::solve_impl(
   const double sense_sign = model.sense() == lp::Sense::kMinimize ? 1.0 : -1.0;
   const double integrality_tol = options_.search.integrality_tol;
   // Internally everything is a minimization of sense_sign * objective.
-  LpEngine lp_solver(options_.lp);
+  // The root, cut rounds, the dive and every node LP run on this engine, in
+  // an order `threads` never changes, so it may carry its factorization
+  // from one LP to the next (a child solved straight after its parent
+  // starts from the parent's LU and etas). Probe engines never carry.
+  LpEngine lp_solver(options_.lp, LpEngine::FactorizationCarry::kAcrossSolves);
   // The standard form is bounds-independent: build it once and share it
   // across the root, the dive, and every node (only bounds change per
   // node). The root cutting loop may rebind `prep` to a strengthened form
@@ -621,22 +625,15 @@ MilpSolution BranchAndBoundSolver::solve_impl(
   // of its own. Everything else — pseudocost feedback, incumbents,
   // branching, child pushes, events — runs on this thread in pop order, so
   // `threads` never changes the tree. With one thread there is no pool and
-  // no slot.
+  // no slot; with more, the pool and slots are built by the first node
+  // that claims two or more probes, so a search that never does builds
+  // neither.
   const int search_threads = resolve_threads(options_.search.threads);
   lp::SimplexOptions sb_lp_options = options_.lp;
   sb_lp_options.max_iterations = options_.branching.strong_branch_iterations;
   LpEngine sb_solver(sb_lp_options);
   std::optional<ThreadPool> pool;
   std::vector<std::unique_ptr<LpSlot>> slots;
-  if (search_threads > 1) {
-    pool.emplace(search_threads);
-    pool->set_trace_recorder(ctx.trace(), ctx.trace_id());
-    slots.reserve(static_cast<std::size_t>(search_threads));
-    for (int s = 0; s < search_threads; ++s) {
-      slots.push_back(
-          std::make_unique<LpSlot>(*prep->model, sb_lp_options, ctx));
-    }
-  }
   // The pseudocost table is internally locked and the probe budget and
   // tallies are atomics; both are only touched from this thread today.
   Pseudocosts pc(n);
@@ -781,7 +778,16 @@ MilpSolution BranchAndBoundSolver::solve_impl(
       p.up = probe_direction(node, relaxed, node_bound, cand.var,
                              /*up=*/true, 1.0 - cand.f, engine);
     };
-    if (pool.has_value() && probes.size() > 1) {
+    if (search_threads > 1 && probes.size() > 1) {
+      if (!pool.has_value()) {
+        pool.emplace(search_threads);
+        pool->set_trace_recorder(ctx.trace(), ctx.trace_id());
+        slots.reserve(static_cast<std::size_t>(search_threads));
+        for (int s = 0; s < search_threads; ++s) {
+          slots.push_back(
+              std::make_unique<LpSlot>(*prep->model, sb_lp_options, ctx));
+        }
+      }
       // Chunked so a probe count above the slot count never lands two
       // concurrent probes on the same engine.
       for (std::size_t base = 0; base < probes.size(); base += slots.size()) {

@@ -5,7 +5,8 @@
 // simplex pivots and lower bound (costs and bounds spelled with "%a"). Any
 // change to a name, a coefficient bit, the row or column order, a tag, or
 // the search tree fails these tests. Re-record only when the model or the
-// tree is meant to change.
+// tree is meant to change. The last test pins the trees the planner grows
+// when every node LP proves optimality on a fresh factorization.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -17,6 +18,7 @@
 #include "common/random.h"
 #include "datagen/generators.h"
 #include "lp/lp_format.h"
+#include "lp/simplex_core.h"
 #include "planner/etransform_planner.h"
 #include "planner/formulation.h"
 
@@ -168,35 +170,9 @@ std::string exact_digest(const ConsolidationInstance& instance,
   return digest;
 }
 
-TEST(ExactPlannerGolden, Enterprise1) {
-  EXPECT_EQ(exact_digest(make_enterprise1(), {}, 40),
-            "e8b3c9d1c7193d13 0x1.9db0fbe8513f7p+17 40 3172 "
-            "0x1.8ac565a58cd0bp+17");
-}
-
-TEST(ExactPlannerGolden, Enterprise1TwoStageDr) {
-  // About 19,000 J variables exceed joint_dr_var_limit, so this runs the
-  // dedicated-surrogate stage 1 and the fixed-primary stage 2. Neither
-  // stage finds an incumbent in 40 nodes. The surrogate's bound is not a
-  // bound on shared sizing, so no lower bound is reported.
-  PlannerOptions options;
-  options.enable_dr = true;
-  EXPECT_EQ(exact_digest(make_enterprise1(), options, 40),
-            "a4e5d03ad70dff4b 0x1.49a8268d1de36p+19 40 73731 nan");
-}
-
-TEST(ExactPlannerGolden, SmallTwoStageDrDecodesBothStages) {
-  // A J limit of 0 forces the two-stage method onto an instance small
-  // enough that both stages reach an incumbent and decode it.
-  Rng rng(29);
-  PlannerOptions options;
-  options.enable_dr = true;
-  options.joint_dr_var_limit = 0;
-  EXPECT_EQ(exact_digest(make_random_instance(rng, 10, 4, 2), options, 2000),
-            "672534fb40ba4769 0x1.68ac407158e18p+15 10 13315 nan");
-}
-
-TEST(ExactPlannerGolden, RightsizingFourPeriods) {
+/// The 4-period right-sizing plan's placement per period, cost, nodes,
+/// pivots and lower bound.
+std::string rightsizing_digest() {
   const ConsolidationInstance instance = make_rightsizing_estate({});
   const CostModel model(instance);
   TrafficCurveSpec curve;
@@ -209,7 +185,7 @@ TEST(ExactPlannerGolden, RightsizingFourPeriods) {
   SolveContext ctx;
   const PlannerReport report =
       planner.plan(PlanInput(model, make_traffic_curve(curve)), ctx);
-  ASSERT_EQ(report.multi.periods.size(), 4u);
+  EXPECT_EQ(report.multi.periods.size(), 4u);
   std::string placement;
   for (const Plan& period : report.multi.periods) {
     for (const int j : period.primary) placement += std::to_string(j) + ",";
@@ -220,8 +196,55 @@ TEST(ExactPlannerGolden, RightsizingFourPeriods) {
                 static_cast<unsigned long long>(fnv1a(placement)),
                 report.objective(), report.milp_nodes,
                 report.stats.deep_metric("pivots"), report.lower_bound);
-  EXPECT_EQ(std::string(digest),
-            "0c23c6486b343dcc 0x1.11p+9 586 11977 0x1.11p+9");
+  return digest;
+}
+
+TEST(ExactPlannerGolden, Enterprise1) {
+  EXPECT_EQ(exact_digest(make_enterprise1(), {}, 40),
+            "e8b3c9d1c7193d13 0x1.9db0fbe8513f7p+17 40 3356 "
+            "0x1.8ac565a58cd0bp+17");
+}
+
+TEST(ExactPlannerGolden, Enterprise1TwoStageDr) {
+  // About 19,000 J variables exceed joint_dr_var_limit, so this runs the
+  // dedicated-surrogate stage 1 and the fixed-primary stage 2. Neither
+  // stage finds an incumbent in 40 nodes. The surrogate's bound is not a
+  // bound on shared sizing, so no lower bound is reported.
+  PlannerOptions options;
+  options.enable_dr = true;
+  EXPECT_EQ(exact_digest(make_enterprise1(), options, 40),
+            "a4e5d03ad70dff4b 0x1.49a8268d1de36p+19 40 44385 nan");
+}
+
+TEST(ExactPlannerGolden, SmallTwoStageDrDecodesBothStages) {
+  // A J limit of 0 forces the two-stage method onto an instance small
+  // enough that both stages reach an incumbent and decode it.
+  Rng rng(29);
+  PlannerOptions options;
+  options.enable_dr = true;
+  options.joint_dr_var_limit = 0;
+  EXPECT_EQ(exact_digest(make_random_instance(rng, 10, 4, 2), options, 2000),
+            "672534fb40ba4769 0x1.68ac407158e18p+15 10 12784 nan");
+}
+
+TEST(ExactPlannerGolden, RightsizingFourPeriods) {
+  EXPECT_EQ(rightsizing_digest(),
+            "9ed8f545941d95fc 0x1.11p+9 210 5980 0x1.10fffffffffffp+9");
+}
+
+// With residual certification refused, every optimal node LP ends on a
+// fresh factorization, so the LU the node engine carries into the next LP
+// is exactly the one a refactorization would build: the planner grows the
+// trees it grew before certification and carrying existed, pivot for pivot.
+TEST(ExactPlannerGolden, RefusedCertificationGrowsTheRefactorizingTrees) {
+  lp::detail::refuse_certification(true);
+  const std::string enterprise1 = exact_digest(make_enterprise1(), {}, 40);
+  const std::string rightsizing = rightsizing_digest();
+  lp::detail::refuse_certification(false);
+  EXPECT_EQ(enterprise1,
+            "e8b3c9d1c7193d13 0x1.9db0fbe8513f7p+17 40 3172 "
+            "0x1.8ac565a58cd0bp+17");
+  EXPECT_EQ(rightsizing, "0c23c6486b343dcc 0x1.11p+9 586 11977 0x1.11p+9");
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Tests for the branch-and-bound search with a strong-branching probe pool:
 // the thread count never changes the explored tree, pooled searches agree
 // with brute force, cross-thread cancellation mid-search, the per-slot
-// probe stats a pooled search stamps under "parallel", and the bytes an
-// open node holds on a 2,000-column MILP.
+// probe stats a pooled search stamps under "parallel", the pool built only
+// by a multi-probe node, and the bytes an open node holds on a 2,000-column
+// MILP.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -217,6 +218,26 @@ TEST(ParallelSearch, StampsPerWorkerCounters) {
   EXPECT_NE(one.stats.find("simplex"), nullptr);
   EXPECT_EQ(s.stats.metric("warm_started_nodes"),
             one.stats.metric("warm_started_nodes"));
+}
+
+// The pool and its probe slots are built by the first node that claims two
+// or more probes. With one probe per node no node does, so a 4-thread
+// solve builds neither: no "parallel" child, and the one-thread tree.
+TEST(ParallelSearch, NoMultiProbeNodeBuildsNoPool) {
+  const Model model = assignment_milp(/*tasks=*/12, /*agents=*/4, 23);
+  SolverOptions options;
+  options.branching.max_probes_per_node = 1;
+  SolveContext one_ctx;
+  options.search.threads = 1;
+  const MilpSolution one = BranchAndBoundSolver(options).solve(model, one_ctx);
+  SolveContext four_ctx;
+  options.search.threads = 4;
+  const MilpSolution four =
+      BranchAndBoundSolver(options).solve(model, four_ctx);
+  ASSERT_EQ(four.status, MilpStatus::kOptimal);
+  EXPECT_GT(four.stats.metric("strong_branch_probes"), 0.0);
+  EXPECT_EQ(four.stats.find("parallel"), nullptr);
+  expect_same_tree(four, one, "one probe per node, 4 threads");
 }
 
 TEST(ParallelSearch, CrossThreadCancellationMidSearch) {

@@ -2,11 +2,14 @@
 // agreement, cycling/degeneracy under partial pricing, warm-start
 // regressions, numerical-error reporting, the basis-engine contract
 // across repeated refactorizations, sparse-LU properties over random bases,
-// an engine kept across solves against fresh ones, and PreparedLp's
-// row-major copy.
+// an engine kept across solves against fresh ones, PreparedLp's
+// row-major copy, and residual certification with the factorization carried
+// from one solve to the next (checked by code that shares nothing with the
+// simplex).
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,6 +19,7 @@
 #include "common/random.h"
 #include "lp/basis.h"
 #include "lp/lp_engine.h"
+#include "lp/simplex_core.h"
 #include "milp/branch_and_bound.h"
 
 namespace etransform::lp {
@@ -732,6 +736,327 @@ TEST(RevisedSimplex, TableauRowExtractorRecoversIdentityOnBasicColumns) {
     }
     EXPECT_NEAR(lhs, rhs, 1e-7) << "tableau row " << p;
   }
+}
+
+/// Random LP with <=, >= and = rows, feasible by construction: every row's
+/// right-hand side is set around its activity at a point inside the box.
+Model random_mixed_lp(std::uint64_t seed, int vars, int rows, double density) {
+  Rng rng(seed);
+  Model model;
+  std::vector<Term> objective;
+  std::vector<double> point;
+  for (int j = 0; j < vars; ++j) {
+    const double upper = rng.uniform(1.0, 10.0);
+    const int v = model.add_continuous("x" + std::to_string(j), 0.0, upper);
+    objective.push_back({v, rng.uniform(-5.0, 5.0)});
+    point.push_back(rng.uniform(0.0, upper));
+  }
+  model.set_objective(Sense::kMinimize, objective);
+  for (int i = 0; i < rows; ++i) {
+    std::vector<Term> terms;
+    double activity = 0.0;
+    for (int j = 0; j < vars; ++j) {
+      if (rng.uniform() >= density) continue;
+      const double a = rng.uniform(-2.0, 2.0);
+      terms.push_back({j, a});
+      activity += a * point[static_cast<std::size_t>(j)];
+    }
+    const double pick = rng.uniform();
+    if (pick < 0.6) {
+      model.add_constraint("r" + std::to_string(i), terms,
+                           Relation::kLessEqual, activity + rng.uniform(0, 3));
+    } else if (pick < 0.85) {
+      model.add_constraint("r" + std::to_string(i), terms,
+                           Relation::kGreaterEqual,
+                           activity - rng.uniform(0, 3));
+    } else {
+      model.add_constraint("r" + std::to_string(i), terms, Relation::kEqual,
+                           activity);
+    }
+  }
+  return model;
+}
+
+/// Optimality of a minimization LP's solution, checked from the model alone:
+/// bounds, row residuals, the objective, dual signs and complementary
+/// slackness per row, and reduced-cost signs per variable. Returns the
+/// first violation, or an empty string.
+std::string optimality_violation(const Model& model,
+                                 const std::vector<double>& lower,
+                                 const std::vector<double>& upper,
+                                 const LpSolution& sol) {
+  constexpr double kTol = 1e-6;
+  const auto at = [](const std::vector<double>& v, int k) {
+    return v[static_cast<std::size_t>(k)];
+  };
+  std::vector<double> cost(static_cast<std::size_t>(model.num_variables()),
+                           0.0);
+  for (const Term& t : model.objective()) {
+    cost[static_cast<std::size_t>(t.var)] += t.coef;
+  }
+  double objective = 0.0;
+  for (int j = 0; j < model.num_variables(); ++j) {
+    const double x = at(sol.values, j);
+    if (x < at(lower, j) - kTol || x > at(upper, j) + kTol) {
+      return "x" + std::to_string(j) + " outside its bounds";
+    }
+    objective += at(cost, j) * x;
+  }
+  if (std::abs(objective - sol.objective) > kTol * (1 + std::abs(objective))) {
+    return "objective differs from c.x";
+  }
+  std::vector<double> reduced = cost;
+  for (int i = 0; i < model.num_constraints(); ++i) {
+    const Constraint& row = model.constraint(i);
+    const double y = at(sol.duals, i);
+    double activity = 0.0;
+    for (const Term& t : row.terms) {
+      activity += t.coef * at(sol.values, t.var);
+      reduced[static_cast<std::size_t>(t.var)] -= t.coef * y;
+    }
+    const double slack = row.rhs - activity;
+    const double tol = kTol * (1 + std::abs(row.rhs));
+    const std::string name = "row " + std::to_string(i);
+    switch (row.relation) {
+      case Relation::kLessEqual:
+        if (slack < -tol) return name + " violated";
+        if (y > kTol) return name + " (<=) has a positive dual";
+        break;
+      case Relation::kGreaterEqual:
+        if (slack > tol) return name + " violated";
+        if (y < -kTol) return name + " (>=) has a negative dual";
+        break;
+      case Relation::kEqual:
+        if (std::abs(slack) > tol) return name + " violated";
+        break;
+    }
+    if (std::abs(slack) > 1e-5 && std::abs(y) > kTol) {
+      return name + " is slack but priced";
+    }
+  }
+  for (int j = 0; j < model.num_variables(); ++j) {
+    const double x = at(sol.values, j);
+    const double d = at(reduced, j);
+    const bool off_lower = x > at(lower, j) + 1e-7;
+    const bool off_upper = x < at(upper, j) - 1e-7;
+    if ((off_lower && d > kTol) || (off_upper && d < -kTol)) {
+      return "x" + std::to_string(j) + " has an improving reduced cost";
+    }
+  }
+  return "";
+}
+
+/// Restores residual certification when a test that refused it ends.
+struct RefuseCertification {
+  RefuseCertification() { detail::refuse_certification(true); }
+  ~RefuseCertification() { detail::refuse_certification(false); }
+  RefuseCertification(const RefuseCertification&) = delete;
+  RefuseCertification& operator=(const RefuseCertification&) = delete;
+};
+
+/// One solve of a warm-started bound-change sequence.
+struct SequenceStep {
+  std::vector<double> lower, upper;
+  LpSolution solution;
+};
+
+/// A dive: from the cold root, each step halves the box of one variable
+/// strictly inside its bounds (the lowest index not yet tried) and
+/// re-solves on `engine`, warm from the last optimal basis. An infeasible
+/// step is recorded and undone.
+std::vector<SequenceStep> dive_sequence(LpEngine& engine, const PreparedLp& prep,
+                                        int steps) {
+  const Model& model = *prep.model;
+  std::vector<double> lower, upper;
+  for (int j = 0; j < model.num_variables(); ++j) {
+    lower.push_back(model.variable(j).lower);
+    upper.push_back(model.variable(j).upper);
+  }
+  std::vector<SequenceStep> out;
+  SolveContext root_ctx;
+  out.push_back({lower, upper, engine.solve(prep, lower, upper, root_ctx)});
+  std::shared_ptr<const BasisSnapshot> warm = out.back().solution.basis;
+  std::vector<double> values = out.back().solution.values;
+  int next = 0;
+  for (int k = 0; k < steps && warm != nullptr; ++k) {
+    int j = -1;
+    for (int probe = 0; probe < model.num_variables(); ++probe) {
+      const int c = (next + probe) % model.num_variables();
+      const double v = values[static_cast<std::size_t>(c)];
+      if (v > lower[static_cast<std::size_t>(c)] + 1e-3 &&
+          v < upper[static_cast<std::size_t>(c)] - 1e-3) {
+        j = c;
+        break;
+      }
+    }
+    if (j < 0) break;
+    next = j + 1;
+    const auto ju = static_cast<std::size_t>(j);
+    const double saved_lower = lower[ju];
+    const double saved_upper = upper[ju];
+    if (k % 2 == 0) {
+      upper[ju] = 0.5 * (values[ju] + lower[ju]);
+    } else {
+      lower[ju] = 0.5 * (values[ju] + upper[ju]);
+    }
+    SolveContext ctx;
+    out.push_back({lower, upper,
+                   engine.solve(prep, lower, upper, ctx,
+                                LpStartBasis(warm.get(),
+                                             LpStartBasis::Origin::kBoundChange))});
+    const LpSolution& sol = out.back().solution;
+    if (sol.status == SolveStatus::kOptimal) {
+      warm = sol.basis;
+      values = sol.values;
+    } else {
+      lower[ju] = saved_lower;
+      upper[ju] = saved_upper;
+    }
+  }
+  return out;
+}
+
+// Every optimum a carrying engine certifies from residuals passes a check
+// that shares nothing with the simplex, and its objective matches a fresh
+// cold solve of the same bounds to 1e-9 relative.
+TEST(ResidualCertification, CertifiedOptimaPassAnIndependentCheck) {
+  int certified = 0;
+  int carried = 0;
+  int optima = 0;
+  for (const std::uint64_t seed : {71, 72, 73, 74, 75, 76}) {
+    const Model model = random_mixed_lp(seed, 40, 25, 0.3);
+    const PreparedLp prep(model);
+    LpEngine engine({}, LpEngine::FactorizationCarry::kAcrossSolves);
+    const std::vector<SequenceStep> dive = dive_sequence(engine, prep, 24);
+    for (std::size_t k = 0; k < dive.size(); ++k) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                   std::to_string(k));
+      const SequenceStep& step = dive[k];
+      SolveContext fresh_ctx;
+      const LpSolution fresh =
+          LpEngine().solve(prep, step.lower, step.upper, fresh_ctx);
+      ASSERT_EQ(step.solution.status, fresh.status);
+      if (fresh.status != SolveStatus::kOptimal) continue;
+      ++optima;
+      certified += step.solution.residual_certifications;
+      carried += step.solution.lu_carried ? 1 : 0;
+      EXPECT_EQ(optimality_violation(model, step.lower, step.upper,
+                                     step.solution),
+                "");
+      EXPECT_NEAR(step.solution.objective, fresh.objective,
+                  1e-9 * std::max(1.0, std::abs(fresh.objective)));
+    }
+  }
+  EXPECT_GT(optima, 60);
+  EXPECT_GT(certified, 0);
+  EXPECT_GT(carried, 0);
+}
+
+// With certification refused, every optimality claim over pending etas
+// refactorizes, so every optimal solve ends on a fresh LU and a carried LU
+// is the one a refactorization builds: the carrying engine's solves equal a
+// fresh engine's bit for bit (factorization counts aside), and they cost
+// more factorizations than the certified run for the same optima.
+TEST(ResidualCertification, RefusedCertificationRefactorizes) {
+  const Model model = random_mixed_lp(81, 40, 25, 0.3);
+  const PreparedLp prep(model);
+  LpEngine certifying({}, LpEngine::FactorizationCarry::kAcrossSolves);
+  const std::vector<SequenceStep> certified =
+      dive_sequence(certifying, prep, 24);
+  const RefuseCertification refuse;
+  LpEngine carrying({}, LpEngine::FactorizationCarry::kAcrossSolves);
+  const std::vector<SequenceStep> refused = dive_sequence(carrying, prep, 24);
+  ASSERT_GT(refused.size(), 10u);
+  int refused_factorizations = 0;
+  int certified_factorizations = 0;
+  int carried = 0;
+  int certified_claims = 0;
+  for (const SequenceStep& step : certified) {
+    certified_factorizations += step.solution.refactorizations;
+    certified_claims += step.solution.residual_certifications;
+  }
+  for (std::size_t k = 0; k < refused.size(); ++k) {
+    SCOPED_TRACE("step " + std::to_string(k));
+    const SequenceStep& step = refused[k];
+    const LpSolution& got = step.solution;
+    EXPECT_EQ(got.residual_certifications, 0);
+    refused_factorizations += got.refactorizations;
+    carried += got.lu_carried ? 1 : 0;
+    // The same warm start the carrying engine had: the last optimal basis
+    // before step k (none for the cold root).
+    std::shared_ptr<const BasisSnapshot> warm;
+    for (std::size_t p = 0; p < k; ++p) {
+      if (refused[p].solution.status == SolveStatus::kOptimal) {
+        warm = refused[p].solution.basis;
+      }
+    }
+    SolveContext fresh_ctx;
+    const LpSolution want = LpEngine().solve(
+        prep, step.lower, step.upper, fresh_ctx,
+        LpStartBasis(warm.get(), LpStartBasis::Origin::kBoundChange));
+    EXPECT_EQ(got.status, want.status);
+    EXPECT_EQ(got.objective, want.objective);
+    EXPECT_EQ(got.values, want.values);
+    EXPECT_EQ(got.duals, want.duals);
+    EXPECT_EQ(got.iterations, want.iterations);
+    EXPECT_EQ(got.dual_pivots, want.dual_pivots);
+    if (got.status == SolveStatus::kOptimal && k < certified.size() &&
+        certified[k].solution.status == SolveStatus::kOptimal) {
+      EXPECT_NEAR(got.objective, certified[k].solution.objective,
+                  1e-9 * std::max(1.0, std::abs(got.objective)));
+    }
+  }
+  EXPECT_GT(carried, 0);
+  EXPECT_GT(certified_claims, 0);
+  EXPECT_GT(refused_factorizations, certified_factorizations);
+}
+
+// The kept factorization is keyed on the PreparedLp's id, not its address:
+// a PreparedLp built where a freed one lived, with the same shape and the
+// freed one's optimal basis as its warm start, still factorizes afresh.
+TEST(ResidualCertification, KeptFactorizationNeverCrossesPreparedLps) {
+  const Model a = random_mixed_lp(91, 30, 20, 0.3);
+  const Model b = random_mixed_lp(92, 30, 20, 0.3);
+  const auto box = [](const Model& model, std::vector<double>& lower,
+                      std::vector<double>& upper) {
+    for (int j = 0; j < model.num_variables(); ++j) {
+      lower.push_back(model.variable(j).lower);
+      upper.push_back(model.variable(j).upper);
+    }
+  };
+  std::vector<double> la, ua, lb, ub;
+  box(a, la, ua);
+  box(b, lb, ub);
+  LpEngine engine({}, LpEngine::FactorizationCarry::kAcrossSolves);
+  std::optional<PreparedLp> slot;
+  slot.emplace(a);
+  const PreparedLp* address = &*slot;
+  SolveContext ctx;
+  const LpSolution a_cold = engine.solve(*slot, la, ua, ctx);
+  ASSERT_EQ(a_cold.status, SolveStatus::kOptimal);
+  // Same PreparedLp, its own basis: the factorization carries.
+  const LpSolution a_warm =
+      engine.solve(*slot, la, ua, ctx,
+                   LpStartBasis(a_cold.basis.get(),
+                                LpStartBasis::Origin::kBoundChange));
+  ASSERT_EQ(a_warm.status, SolveStatus::kOptimal);
+  EXPECT_TRUE(a_warm.lu_carried);
+  EXPECT_EQ(a_warm.refactorizations, 0);
+  // A copy is another PreparedLp.
+  const PreparedLp copy = *slot;
+  EXPECT_NE(copy.id.value(), slot->id.value());
+
+  slot.reset();
+  slot.emplace(b);
+  ASSERT_EQ(&*slot, address);
+  ASSERT_EQ(slot->num_rows(), copy.num_rows());
+  const LpStartBasis start(a_warm.basis.get(), LpStartBasis::Origin::kNone);
+  const LpSolution got = engine.solve(*slot, lb, ub, ctx, start);
+  SolveContext fresh_ctx;
+  const LpSolution want = LpEngine().solve(*slot, lb, ub, fresh_ctx, start);
+  EXPECT_FALSE(got.lu_carried);
+  EXPECT_GE(got.refactorizations, 1);
+  expect_identical(got, want, "second PreparedLp at the first one's address");
 }
 
 }  // namespace
