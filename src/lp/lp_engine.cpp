@@ -87,7 +87,7 @@ LpSolution LpEngine::solve(const PreparedLp& prep,
   // a warm basis listing its basic columns in the same order. The solve
   // rewrites the factorization, so it is kept again only if it ends optimal.
   int carried_etas = -1;
-  if (kept_prep_ != 0 && kept_prep_ == prep.id.value() &&
+  if (kept_prep_ == prep.id.value() &&
       start.snapshot != nullptr &&
       start.snapshot->basic_columns == kept_basis_) {
     carried_etas = kept_etas_;
