@@ -106,12 +106,11 @@ if(simplex STREQUAL "")
 endif()
 
 # The counters must exist and be coherent: at least one solve happened, every
-# solve factorizes its start basis or starts from the factorization its
-# engine carried over, and pricing did *something*.
+# solve refactorizes at least once, and pricing did *something*.
 foreach(metric calls pivots refactorizations etas eta_entries
         pricing_candidate_hits pricing_full_scans warm_starts
         dual_pivots bound_flips dual_solves factorize_ms pivot_row_entries
-        ratio_test_sorts residual_certifications lu_carried certify_ms)
+        ratio_test_sorts residual_certifications certify_ms)
   string(JSON value ERROR_VARIABLE json_err GET "${simplex}" "metrics" "${metric}")
   if(NOT json_err STREQUAL "NOTFOUND")
     message(FATAL_ERROR "simplex stats missing metric '${metric}'")
@@ -124,18 +123,9 @@ endforeach()
 if(simplex_calls LESS 1)
   message(FATAL_ERROR "simplex 'calls' is ${simplex_calls}, want >= 1")
 endif()
-math(EXPR simplex_starts
-     "${simplex_refactorizations} + ${simplex_lu_carried}")
-if(simplex_starts LESS ${simplex_calls})
+if(simplex_refactorizations LESS ${simplex_calls})
   message(FATAL_ERROR "simplex refactorizations (${simplex_refactorizations}) "
-                      "+ lu_carried (${simplex_lu_carried}) < calls "
-                      "(${simplex_calls}); every solve factorizes its start "
-                      "basis or carries its engine's factorization")
-endif()
-# A carried start is a solve that skipped its start factorization.
-if(simplex_lu_carried GREATER ${simplex_calls})
-  message(FATAL_ERROR "simplex lu_carried (${simplex_lu_carried}) > calls "
-                      "(${simplex_calls})")
+                      "< calls (${simplex_calls}); every solve factorizes once")
 endif()
 # Every factorization is timed, and every dual pivot builds a pivot row
 # from at least one matrix entry.
@@ -164,7 +154,6 @@ message(STATUS "exact-engine stats OK: ${simplex_calls} simplex calls, "
                "${simplex_refactorizations} refactorizations in "
                "${simplex_factorize_ms} ms, "
                "${simplex_residual_certifications} residual certifications, "
-               "${simplex_lu_carried} carried factorizations, "
                "${simplex_pivot_row_entries} pivot-row entries")
 
 # The cut-and-branch pipeline must be visible in the same tree: a 'cuts'

@@ -15,8 +15,7 @@
 
 namespace etransform::lp {
 
-LpEngine::LpEngine(SimplexOptions options, FactorizationCarry carry)
-    : options_(options), carry_(carry) {}
+LpEngine::LpEngine(SimplexOptions options) : options_(options) {}
 
 BasisFactorization& LpEngine::factorization(int rows) {
   if (factorization_ == nullptr || factorization_rows_ != rows) {
@@ -83,29 +82,12 @@ LpSolution LpEngine::solve(const PreparedLp& prep,
                  start.origin != LpStartBasis::Origin::kNone;
       break;
   }
-  // The kept factorization serves only the PreparedLp it was built for and
-  // a warm basis listing its basic columns in the same order. The solve
-  // rewrites the factorization, so it is kept again only if it ends optimal.
-  int carried_etas = -1;
-  if (kept_prep_ == prep.id.value() &&
-      start.snapshot != nullptr &&
-      start.snapshot->basic_columns == kept_basis_) {
-    carried_etas = kept_etas_;
-  }
-  kept_prep_ = 0;
-  const SolveStatus status = core.run(start.snapshot, try_dual, carried_etas);
-  if (carry_ == FactorizationCarry::kAcrossSolves &&
-      status == SolveStatus::kOptimal) {
-    kept_prep_ = prep.id.value();
-    kept_basis_ = core.basic_columns();
-    kept_etas_ = core.pending_etas();
-  }
+  const SolveStatus status = core.run(start.snapshot, try_dual);
   solution.status = status;
   solution.iterations = core.iterations();
   solution.phase1_iterations = core.phase1_iterations();
   solution.refactorizations = core.refactorizations();
   solution.residual_certifications = core.residual_certifications();
-  solution.lu_carried = core.lu_carried();
   solution.degenerate_pivots = core.degenerate_pivots();
   solution.warm_started = core.warm_started();
   solution.used_dual = core.used_dual();
@@ -122,7 +104,6 @@ LpSolution LpEngine::solve(const PreparedLp& prep,
   stats.add("refactorizations", solution.refactorizations);
   stats.add("factorize_ms", core.factorize_ms());
   stats.add("residual_certifications", solution.residual_certifications);
-  stats.add("lu_carried", solution.lu_carried ? 1.0 : 0.0);
   stats.add("certify_ms", core.certify_ms());
   stats.add("pivot_row_entries", static_cast<double>(core.pivot_row_entries()));
   stats.add("degenerate_pivots", solution.degenerate_pivots);

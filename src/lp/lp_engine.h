@@ -22,7 +22,6 @@
 // one btran and falls back to the primal warm start, never correctness.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -61,29 +60,13 @@ struct LpStartBasis {
 
 /// The LP engine. It keeps its basis factorization engine from one solve
 /// to the next (made again only when the row count changes), so the
-/// factorization's scratch is not rebuilt per LP call. Under
-/// FactorizationCarry::kNone (the default) no solve reads anything the
-/// previous one left except that capacity, so a result never depends on the
-/// solves before it. Under kAcrossSolves a solve whose warm basis is the
-/// one the kept factorization represents starts from it, etas and all;
-/// results then depend on the engine's call sequence, which its owner must
-/// keep deterministic. Solving mutates the engine: one LpEngine belongs to
-/// one thread at a time; concurrent LPs need one each.
+/// factorization's scratch is not rebuilt per LP call. No solve reads
+/// anything the previous one left except that capacity, so a result never
+/// depends on the solves before it. Solving mutates the engine: one
+/// LpEngine belongs to one thread at a time; concurrent LPs need one each.
 class LpEngine {
  public:
-  /// Whether a solve may start from the factorization the previous one
-  /// left behind.
-  enum class FactorizationCarry {
-    /// Every solve factorizes its start basis.
-    kNone,
-    /// An optimal solve leaves its factorization, keyed on the PreparedLp's
-    /// id and the basic columns in order; the next solve of that PreparedLp
-    /// whose warm basis matches skips its start factorization.
-    kAcrossSolves,
-  };
-
-  explicit LpEngine(SimplexOptions options = {},
-                    FactorizationCarry carry = FactorizationCarry::kNone);
+  explicit LpEngine(SimplexOptions options = {});
 
   /// Solves the LP relaxation of `model` under `ctx` (deadline, cancel
   /// token, events, stats). Throws InvalidInputError on malformed models;
@@ -116,15 +99,8 @@ class LpEngine {
   BasisFactorization& factorization(int rows);
 
   SimplexOptions options_;
-  FactorizationCarry carry_;
   std::unique_ptr<BasisFactorization> factorization_;
   int factorization_rows_ = 0;
-  // What factorization_ represents after an optimal solve under
-  // kAcrossSolves: the PreparedLp (by id; 0 = nothing kept), its basic
-  // columns in basis-position order, and the etas pending on its LU.
-  std::uint64_t kept_prep_ = 0;
-  std::vector<int> kept_basis_;
-  int kept_etas_ = 0;
 };
 
 /// Maps a basis snapshot of one standard form onto a rebuilt one whose rows

@@ -46,11 +46,6 @@ constexpr double kCertifyTol = 1e-9;
 std::atomic<bool> g_refuse_certification{false};
 }  // namespace
 
-std::uint64_t PreparedLpId::next() {
-  static std::atomic<std::uint64_t> counter{0};
-  return ++counter;
-}
-
 PreparedLp::PreparedLp(const Model& m) : model(&m) {
   m.validate();
   num_vars = m.num_variables();
@@ -211,8 +206,7 @@ bool RevisedSimplex::set_bounds(const std::vector<double>& lo,
   return true;
 }
 
-SolveStatus RevisedSimplex::run(const BasisSnapshot* warm, bool try_dual,
-                                int carried_etas) {
+SolveStatus RevisedSimplex::run(const BasisSnapshot* warm, bool try_dual) {
   engine_.reset_counters();
   // Small lists win empirically: Devex quality saturates around a few
   // dozen candidates while re-pricing cost keeps growing with the list.
@@ -220,22 +214,13 @@ SolveStatus RevisedSimplex::run(const BasisSnapshot* warm, bool try_dual,
                    ? options_.candidate_list_size
                    : std::clamp(n_ / 32, 8, 32);
   bool warm_ok = warm != nullptr && apply_snapshot(*warm);
-  if (warm_ok && carried_etas >= 0) {
-    // The engine already factorizes this basis: only the values move with
-    // the new bounds. Its etas stay pending (unverified unless there are
-    // none, which makes the LU exactly the one a refactorization builds).
-    lu_carried_ = true;
-    pivots_since_refactor_ = carried_etas;
-    recompute_values();
-  } else {
-    if (!warm_ok) init_slack_basis();
-    if (!refactorize()) {
-      if (warm_ok) {
-        warm_ok = false;
-        init_slack_basis();
-      }
-      if (!refactorize()) return SolveStatus::kNumericalError;
+  if (!warm_ok) init_slack_basis();
+  if (!refactorize()) {
+    if (warm_ok) {
+      warm_ok = false;
+      init_slack_basis();
     }
+    if (!refactorize()) return SolveStatus::kNumericalError;
   }
   warm_started_ = warm_ok;
 

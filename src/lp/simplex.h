@@ -45,7 +45,6 @@
 //    "simplex" stats node.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -136,27 +135,6 @@ struct BasisSnapshot {
   std::vector<BasisVarStatus> column_status;  // one per internal column
 };
 
-/// Identity of one PreparedLp object. Drawn from a process-wide counter
-/// when the object is built, and drawn afresh when it is copied or assigned,
-/// so no two objects share one — not even a PreparedLp freed and another
-/// built at the same address. LpEngine keys a kept factorization on it.
-class PreparedLpId {
- public:
-  PreparedLpId() : value_(next()) {}
-  PreparedLpId(const PreparedLpId& /*other*/) : value_(next()) {}
-  PreparedLpId& operator=(const PreparedLpId& /*other*/) {
-    value_ = next();
-    return *this;
-  }
-  ~PreparedLpId() = default;
-
-  [[nodiscard]] std::uint64_t value() const { return value_; }
-
- private:
-  static std::uint64_t next();
-  std::uint64_t value_;
-};
-
 /// Bounds-independent standard form of one Model, built once and shared by
 /// every bound-override solve (e.g. all branch-and-bound nodes). Internal
 /// column j < num_vars is model variable j verbatim; the remaining columns
@@ -172,7 +150,6 @@ struct PreparedLp {
     return static_cast<int>(columns.size());
   }
 
-  PreparedLpId id;
   const Model* model = nullptr;
   int num_vars = 0;         // model variables == leading internal columns
   double sense_sign = 1.0;  // +1 minimize, -1 maximize
@@ -210,15 +187,11 @@ struct LpSolution {
   int iterations = 0;
   /// Pivots spent in phase 1 (0 when the start basis was feasible).
   int phase1_iterations = 0;
-  /// Basis factorizations performed, the start basis's included (0 only
-  /// when the start factorization was carried over; see `lu_carried`).
+  /// Basis factorizations performed (>= 1: the start basis counts).
   int refactorizations = 0;
   /// Optimality claims certified by residual checks on an eta file instead
   /// of a fresh factorization.
   int residual_certifications = 0;
-  /// True when the solve started from the factorization its LpEngine kept
-  /// from the previous solve instead of factorizing the start basis.
-  bool lu_carried = false;
   /// Degenerate (zero-step) pivots encountered.
   int degenerate_pivots = 0;
   /// True when a supplied warm-start basis was successfully installed.

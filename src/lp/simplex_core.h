@@ -5,12 +5,11 @@
 //
 // One RevisedSimplex instance covers one solve of one PreparedLp + bound
 // set, on a factorization engine it borrows from its LpEngine (the engine
-// outlives the solve so its scratch is not rebuilt per LP call, and may
-// still hold the previous solve's factorization). LpEngine drives it: run()
-// installs the (warm) basis, optionally attempts the dual simplex when the
-// start basis passes the numeric dual-feasibility check, and always
-// finishes through the primal phase-2 loop so optimality is certified by a
-// single code path.
+// outlives the solve so its scratch is not rebuilt per LP call). LpEngine
+// drives it: run() installs the (warm) basis, optionally
+// attempts the dual simplex when the start basis passes the numeric
+// dual-feasibility check, and always finishes through the primal phase-2
+// loop so optimality is certified by a single code path.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +29,15 @@ inline constexpr int kMaxRecoveries = 3;
 /// optimality claim over a pending eta file refactorizes first — the
 /// solver as it ran before certification existed.
 void refuse_certification(bool refuse);
+
+/// Refuses residual certification for its lifetime, so a test that throws
+/// or fails an ASSERT never leaves the seam set for the tests after it.
+struct RefuseCertification {
+  RefuseCertification() { refuse_certification(true); }
+  ~RefuseCertification() { refuse_certification(false); }
+  RefuseCertification(const RefuseCertification&) = delete;
+  RefuseCertification& operator=(const RefuseCertification&) = delete;
+};
 
 /// One bound-flipping ratio-test breakpoint of a dual pivot.
 struct DualBreakpoint {
@@ -78,11 +86,8 @@ class RevisedSimplex {
   /// Runs the solve, optionally warm-starting from `warm`. When `try_dual`
   /// is set and the installed start basis is dual-feasible, reoptimizes
   /// with the dual simplex first; the primal phases then finish (or repair)
-  /// from wherever the dual loop left the basis. `carried_etas` >= 0 says
-  /// the engine already holds a factorization of `warm`'s basic columns, in
-  /// order, carrying that many etas: the start factorization is skipped.
-  SolveStatus run(const BasisSnapshot* warm, bool try_dual,
-                  int carried_etas = -1);
+  /// from wherever the dual loop left the basis.
+  SolveStatus run(const BasisSnapshot* warm, bool try_dual);
 
   [[nodiscard]] int iterations() const { return iterations_; }
   [[nodiscard]] int phase1_iterations() const { return phase1_iterations_; }
@@ -109,14 +114,6 @@ class RevisedSimplex {
   }
   /// Wall time spent in certify(), passed or refused, in ms.
   [[nodiscard]] double certify_ms() const { return certify_ms_; }
-  /// True when run() started from the engine's kept factorization.
-  [[nodiscard]] bool lu_carried() const { return lu_carried_; }
-  /// The basic column of each basis position, in the engine's order.
-  [[nodiscard]] const std::vector<int>& basic_columns() const {
-    return basis_;
-  }
-  /// Etas the engine's factorization carries on top of its LU.
-  [[nodiscard]] int pending_etas() const { return pivots_since_refactor_; }
   /// Matrix entries scanned while building dual pivot rows.
   [[nodiscard]] long long pivot_row_entries() const {
     return pivot_row_entries_;
@@ -223,7 +220,6 @@ class RevisedSimplex {
   int pivots_since_refactor_ = 0;
   int recoveries_ = 0;
   bool certified_ = false;
-  bool lu_carried_ = false;
   int residual_certifications_ = 0;
   double certify_ms_ = 0.0;
   long long candidate_hits_ = 0;

@@ -244,11 +244,7 @@ MilpSolution BranchAndBoundSolver::solve_impl(
   const double sense_sign = model.sense() == lp::Sense::kMinimize ? 1.0 : -1.0;
   const double integrality_tol = options_.search.integrality_tol;
   // Internally everything is a minimization of sense_sign * objective.
-  // The root, cut rounds, the dive and every node LP run on this engine, in
-  // an order `threads` never changes, so it may carry its factorization
-  // from one LP to the next (a child solved straight after its parent
-  // starts from the parent's LU and etas). Probe engines never carry.
-  LpEngine lp_solver(options_.lp, LpEngine::FactorizationCarry::kAcrossSolves);
+  LpEngine lp_solver(options_.lp);
   // The standard form is bounds-independent: build it once and share it
   // across the root, the dive, and every node (only bounds change per
   // node). The root cutting loop may rebind `prep` to a strengthened form

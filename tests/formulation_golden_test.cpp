@@ -201,7 +201,7 @@ std::string rightsizing_digest() {
 
 TEST(ExactPlannerGolden, Enterprise1) {
   EXPECT_EQ(exact_digest(make_enterprise1(), {}, 40),
-            "e8b3c9d1c7193d13 0x1.9db0fbe8513f7p+17 40 3356 "
+            "e8b3c9d1c7193d13 0x1.9db0fbe8513f7p+17 40 3458 "
             "0x1.8ac565a58cd0bp+17");
 }
 
@@ -213,7 +213,7 @@ TEST(ExactPlannerGolden, Enterprise1TwoStageDr) {
   PlannerOptions options;
   options.enable_dr = true;
   EXPECT_EQ(exact_digest(make_enterprise1(), options, 40),
-            "a4e5d03ad70dff4b 0x1.49a8268d1de36p+19 40 44385 nan");
+            "a4e5d03ad70dff4b 0x1.49a8268d1de36p+19 40 43746 nan");
 }
 
 TEST(ExactPlannerGolden, SmallTwoStageDrDecodesBothStages) {
@@ -224,23 +224,24 @@ TEST(ExactPlannerGolden, SmallTwoStageDrDecodesBothStages) {
   options.enable_dr = true;
   options.joint_dr_var_limit = 0;
   EXPECT_EQ(exact_digest(make_random_instance(rng, 10, 4, 2), options, 2000),
-            "672534fb40ba4769 0x1.68ac407158e18p+15 10 12784 nan");
+            "672534fb40ba4769 0x1.68ac407158e18p+15 10 13376 nan");
 }
 
 TEST(ExactPlannerGolden, RightsizingFourPeriods) {
   EXPECT_EQ(rightsizing_digest(),
-            "9ed8f545941d95fc 0x1.11p+9 210 5980 0x1.10fffffffffffp+9");
+            "9ed8f545941d95fc 0x1.11p+9 282 6123 0x1.11p+9");
 }
 
-// With residual certification refused, every optimal node LP ends on a
-// fresh factorization, so the LU the node engine carries into the next LP
-// is exactly the one a refactorization would build: the planner grows the
-// trees it grew before certification and carrying existed, pivot for pivot.
+// With residual certification refused, every optimality claim over pending
+// etas refactorizes first, as the solver did before certification existed:
+// the planner grows the trees it grew then, pivot for pivot.
 TEST(ExactPlannerGolden, RefusedCertificationGrowsTheRefactorizingTrees) {
-  lp::detail::refuse_certification(true);
-  const std::string enterprise1 = exact_digest(make_enterprise1(), {}, 40);
-  const std::string rightsizing = rightsizing_digest();
-  lp::detail::refuse_certification(false);
+  std::string enterprise1, rightsizing;
+  {
+    const lp::detail::RefuseCertification refuse;
+    enterprise1 = exact_digest(make_enterprise1(), {}, 40);
+    rightsizing = rightsizing_digest();
+  }
   EXPECT_EQ(enterprise1,
             "e8b3c9d1c7193d13 0x1.9db0fbe8513f7p+17 40 3172 "
             "0x1.8ac565a58cd0bp+17");

@@ -3,13 +3,11 @@
 // regressions, numerical-error reporting, the basis-engine contract
 // across repeated refactorizations, sparse-LU properties over random bases,
 // an engine kept across solves against fresh ones, PreparedLp's
-// row-major copy, and residual certification with the factorization carried
-// from one solve to the next (checked by code that shares nothing with the
-// simplex).
+// row-major copy, and residual certification (checked by code that shares
+// nothing with the simplex).
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -846,14 +844,6 @@ std::string optimality_violation(const Model& model,
   return "";
 }
 
-/// Restores residual certification when a test that refused it ends.
-struct RefuseCertification {
-  RefuseCertification() { detail::refuse_certification(true); }
-  ~RefuseCertification() { detail::refuse_certification(false); }
-  RefuseCertification(const RefuseCertification&) = delete;
-  RefuseCertification& operator=(const RefuseCertification&) = delete;
-};
-
 /// One solve of a warm-started bound-change sequence.
 struct SequenceStep {
   std::vector<double> lower, upper;
@@ -916,17 +906,16 @@ std::vector<SequenceStep> dive_sequence(LpEngine& engine, const PreparedLp& prep
   return out;
 }
 
-// Every optimum a carrying engine certifies from residuals passes a check
-// that shares nothing with the simplex, and its objective matches a fresh
-// cold solve of the same bounds to 1e-9 relative.
+// Every optimum the engine certifies from residuals passes a check that
+// shares nothing with the simplex, and its objective matches a fresh cold
+// solve of the same bounds to 1e-9 relative.
 TEST(ResidualCertification, CertifiedOptimaPassAnIndependentCheck) {
   int certified = 0;
-  int carried = 0;
   int optima = 0;
   for (const std::uint64_t seed : {71, 72, 73, 74, 75, 76}) {
     const Model model = random_mixed_lp(seed, 40, 25, 0.3);
     const PreparedLp prep(model);
-    LpEngine engine({}, LpEngine::FactorizationCarry::kAcrossSolves);
+    LpEngine engine;
     const std::vector<SequenceStep> dive = dive_sequence(engine, prep, 24);
     for (std::size_t k = 0; k < dive.size(); ++k) {
       SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
@@ -939,7 +928,6 @@ TEST(ResidualCertification, CertifiedOptimaPassAnIndependentCheck) {
       if (fresh.status != SolveStatus::kOptimal) continue;
       ++optima;
       certified += step.solution.residual_certifications;
-      carried += step.solution.lu_carried ? 1 : 0;
       EXPECT_EQ(optimality_violation(model, step.lower, step.upper,
                                      step.solution),
                 "");
@@ -949,27 +937,23 @@ TEST(ResidualCertification, CertifiedOptimaPassAnIndependentCheck) {
   }
   EXPECT_GT(optima, 60);
   EXPECT_GT(certified, 0);
-  EXPECT_GT(carried, 0);
 }
 
 // With certification refused, every optimality claim over pending etas
-// refactorizes, so every optimal solve ends on a fresh LU and a carried LU
-// is the one a refactorization builds: the carrying engine's solves equal a
-// fresh engine's bit for bit (factorization counts aside), and they cost
-// more factorizations than the certified run for the same optima.
+// refactorizes first: no solve certifies, the dive reaches the same optima
+// as the certifying one, and it spends more factorizations getting there.
 TEST(ResidualCertification, RefusedCertificationRefactorizes) {
   const Model model = random_mixed_lp(81, 40, 25, 0.3);
   const PreparedLp prep(model);
-  LpEngine certifying({}, LpEngine::FactorizationCarry::kAcrossSolves);
+  LpEngine certifying;
   const std::vector<SequenceStep> certified =
       dive_sequence(certifying, prep, 24);
-  const RefuseCertification refuse;
-  LpEngine carrying({}, LpEngine::FactorizationCarry::kAcrossSolves);
-  const std::vector<SequenceStep> refused = dive_sequence(carrying, prep, 24);
+  const detail::RefuseCertification refuse;
+  LpEngine refusing;
+  const std::vector<SequenceStep> refused = dive_sequence(refusing, prep, 24);
   ASSERT_GT(refused.size(), 10u);
   int refused_factorizations = 0;
   int certified_factorizations = 0;
-  int carried = 0;
   int certified_claims = 0;
   for (const SequenceStep& step : certified) {
     certified_factorizations += step.solution.refactorizations;
@@ -977,86 +961,17 @@ TEST(ResidualCertification, RefusedCertificationRefactorizes) {
   }
   for (std::size_t k = 0; k < refused.size(); ++k) {
     SCOPED_TRACE("step " + std::to_string(k));
-    const SequenceStep& step = refused[k];
-    const LpSolution& got = step.solution;
+    const LpSolution& got = refused[k].solution;
     EXPECT_EQ(got.residual_certifications, 0);
     refused_factorizations += got.refactorizations;
-    carried += got.lu_carried ? 1 : 0;
-    // The same warm start the carrying engine had: the last optimal basis
-    // before step k (none for the cold root).
-    std::shared_ptr<const BasisSnapshot> warm;
-    for (std::size_t p = 0; p < k; ++p) {
-      if (refused[p].solution.status == SolveStatus::kOptimal) {
-        warm = refused[p].solution.basis;
-      }
-    }
-    SolveContext fresh_ctx;
-    const LpSolution want = LpEngine().solve(
-        prep, step.lower, step.upper, fresh_ctx,
-        LpStartBasis(warm.get(), LpStartBasis::Origin::kBoundChange));
-    EXPECT_EQ(got.status, want.status);
-    EXPECT_EQ(got.objective, want.objective);
-    EXPECT_EQ(got.values, want.values);
-    EXPECT_EQ(got.duals, want.duals);
-    EXPECT_EQ(got.iterations, want.iterations);
-    EXPECT_EQ(got.dual_pivots, want.dual_pivots);
     if (got.status == SolveStatus::kOptimal && k < certified.size() &&
         certified[k].solution.status == SolveStatus::kOptimal) {
       EXPECT_NEAR(got.objective, certified[k].solution.objective,
                   1e-9 * std::max(1.0, std::abs(got.objective)));
     }
   }
-  EXPECT_GT(carried, 0);
   EXPECT_GT(certified_claims, 0);
   EXPECT_GT(refused_factorizations, certified_factorizations);
-}
-
-// The kept factorization is keyed on the PreparedLp's id, not its address:
-// a PreparedLp built where a freed one lived, with the same shape and the
-// freed one's optimal basis as its warm start, still factorizes afresh.
-TEST(ResidualCertification, KeptFactorizationNeverCrossesPreparedLps) {
-  const Model a = random_mixed_lp(91, 30, 20, 0.3);
-  const Model b = random_mixed_lp(92, 30, 20, 0.3);
-  const auto box = [](const Model& model, std::vector<double>& lower,
-                      std::vector<double>& upper) {
-    for (int j = 0; j < model.num_variables(); ++j) {
-      lower.push_back(model.variable(j).lower);
-      upper.push_back(model.variable(j).upper);
-    }
-  };
-  std::vector<double> la, ua, lb, ub;
-  box(a, la, ua);
-  box(b, lb, ub);
-  LpEngine engine({}, LpEngine::FactorizationCarry::kAcrossSolves);
-  std::optional<PreparedLp> slot;
-  slot.emplace(a);
-  const PreparedLp* address = &*slot;
-  SolveContext ctx;
-  const LpSolution a_cold = engine.solve(*slot, la, ua, ctx);
-  ASSERT_EQ(a_cold.status, SolveStatus::kOptimal);
-  // Same PreparedLp, its own basis: the factorization carries.
-  const LpSolution a_warm =
-      engine.solve(*slot, la, ua, ctx,
-                   LpStartBasis(a_cold.basis.get(),
-                                LpStartBasis::Origin::kBoundChange));
-  ASSERT_EQ(a_warm.status, SolveStatus::kOptimal);
-  EXPECT_TRUE(a_warm.lu_carried);
-  EXPECT_EQ(a_warm.refactorizations, 0);
-  // A copy is another PreparedLp.
-  const PreparedLp copy = *slot;
-  EXPECT_NE(copy.id.value(), slot->id.value());
-
-  slot.reset();
-  slot.emplace(b);
-  ASSERT_EQ(&*slot, address);
-  ASSERT_EQ(slot->num_rows(), copy.num_rows());
-  const LpStartBasis start(a_warm.basis.get(), LpStartBasis::Origin::kNone);
-  const LpSolution got = engine.solve(*slot, lb, ub, ctx, start);
-  SolveContext fresh_ctx;
-  const LpSolution want = LpEngine().solve(*slot, lb, ub, fresh_ctx, start);
-  EXPECT_FALSE(got.lu_carried);
-  EXPECT_GE(got.refactorizations, 1);
-  expect_identical(got, want, "second PreparedLp at the first one's address");
 }
 
 }  // namespace
