@@ -17,21 +17,19 @@
 // (milp/node_store.h), so a node costs bytes, not two bound vectors.
 //
 // One search loop: each step pops one node, solves its LP on the solve's
-// own engine, and applies the outcome on the solving thread. That engine
-// carries its factorization from one LP to the next (a child solved right
-// after its parent starts from the parent's LU); its call sequence never
-// depends on the thread count. With SearchOptions::threads > 1 the
-// strong-branching probes of a node that claims two or more run on a
-// ThreadPool, built by the first such node, each on a private LpEngine +
-// PreparedLp + SolveContext slot (per-slot PreparedLps have identical
-// internal layout, so a node basis warm-starts a probe on any slot with the
-// same kBoundChange dual-simplex reoptimization). The thread count never
-// changes the explored tree; see solver_options.h and DESIGN.md ("Parallel
-// tree search"). Per-slot probe pivots land under a "parallel" child of
-// the branch_and_bound stats subtree. A node whose LP fails (numerical
-// error, unbounded, pivot budget) is dropped: its parent bound stays a
-// floor on the reported bound, and the solve can then end kFeasible or
-// kNoSolutionFound but never kOptimal or kInfeasible.
+// own engine, and applies the outcome on the solving thread. With
+// SearchOptions::threads > 1 the strong-branching probes of a node that
+// claims two or more run on a ThreadPool, built by the first such node,
+// each on a private LpEngine + PreparedLp + SolveContext slot (per-slot
+// PreparedLps have identical internal layout, so a node basis warm-starts
+// a probe on any slot with the same kBoundChange dual-simplex
+// reoptimization). The thread count never changes the explored tree; see
+// solver_options.h and DESIGN.md ("Parallel tree search"). Per-slot probe
+// pivots land under a "parallel" child of the branch_and_bound stats
+// subtree. A node whose LP fails (numerical error, unbounded, pivot
+// budget) is dropped: its parent bound stays a floor on the reported
+// bound, and the solve can then end kFeasible or kNoSolutionFound but
+// never kOptimal or kInfeasible.
 //
 // Root cutting planes (cut-and-branch): before branching starts, registered
 // CutGenerators (Gomory mixed-integer + lifted cover by default; see
